@@ -40,7 +40,8 @@ BUDGET_ENV = "SEPSYS_BUDGET_MS"
 
 
 class SelfCheckError(Exception):
-    """A constructed family failed its own oracle; emitting it would be a bug."""
+    """A constructed or searched family failed its own oracle; emitting it
+    would be a bug."""
 
 
 def parse_family(text: str) -> Family:
@@ -272,17 +273,18 @@ def cmd_search(args) -> int:
     if problem == "g":
         if args.m is None:
             raise ValueError("--m is required for problem 'g'")
-        rep = search.max_nice_size(args.m, k, budget, threads=args.threads, use_symmetry=sym)
+        rep = search.max_nice_size(args.m, k, budget, use_symmetry=sym)
+        _certify_nice(rep.example, k)
         print(f"g({args.m},{k}) = {rep.best} ({_status(rep.exhausted)})")
         if k >= 3:
             print("note: no known exact reference for k >= 3; value is search evidence")
         print(f"nodes: {rep.nodes_visited}")
-        if rep.example is not None:
-            print(emit_family(rep.example, args.format, role="dual"))
+        print(emit_family(rep.example, args.format, role="dual"))
     elif problem == "exists":
         if args.m is None or args.n is None:
             raise ValueError("--m and --n are required for problem 'exists'")
         res = search.exists_nice_of_size(args.m, k, args.n, budget, use_symmetry=sym)
+        _certify_nice(res.family, k)
         print(f"exists(m={args.m},k={k},n={args.n}): {res.status}")
         print(f"nodes: {res.nodes_visited}")
         if res.family is not None:
@@ -291,6 +293,8 @@ def cmd_search(args) -> int:
             return EXIT_FAIL
     elif problem == "min-m":
         rep = search.min_m_hyperseparating(_need_n(args), k, args.m_max, budget)
+        if rep.example is not None:
+            _certify_nice(dual(rep.example), k)
         for m, status in rep.levels or ():
             print(f"  m={m}: {status}")
         if rep.best is None:
@@ -304,9 +308,7 @@ def cmd_search(args) -> int:
     elif problem == "unique-subset":
         if args.m is None:
             raise ValueError("--m is required for problem 'unique-subset'")
-        rep = search.max_unique_subset_family(
-            args.m, k, budget, threads=args.threads, use_symmetry=sym
-        )
+        rep = search.max_unique_subset_family(args.m, k, budget, use_symmetry=sym)
         print(f"max-unique-subset({args.m},{k}) = {rep.best} ({_status(rep.exhausted)})")
         print(f"nodes: {rep.nodes_visited}")
         print(emit_family(rep.example, args.format))
@@ -322,6 +324,18 @@ def cmd_search(args) -> int:
         ]
         print(json.dumps({"pairs": doc}, separators=(",", ":")))
     return EXIT_OK
+
+
+def _certify_nice(d: Family | None, k: int) -> None:
+    """Re-verify a search example (a dual family) before it is printed;
+    None, for a search that found nothing, passes."""
+    if d is None:
+        return
+    cert = verify.is_nice(d, k)
+    if not cert:
+        raise SelfCheckError(f"search example failed its oracle at member {cert.failure}")
+    if not verify.recheck_certificate(d, cert):
+        raise SelfCheckError("search example's certificate failed its recheck")
 
 
 def _status(exhausted: bool) -> str:
@@ -388,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int)
     sp.add_argument("--m-max", type=int, default=6)
     sp.add_argument("--budget-ms", type=int)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--no-symmetry", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_search)
@@ -419,9 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except SelfCheckError as e:

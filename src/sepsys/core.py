@@ -72,14 +72,18 @@ def word_of(indices) -> int:
     return w
 
 
-def new_family(ground_size: int, members) -> Family:
-    """Build a Family from lists of ground-element indices."""
+def _check_ground(ground_size: int) -> None:
     if ground_size < 0:
         raise ValueError(f"ground_size must be >= 0, got {ground_size}")
     if ground_size > MAX_GROUND:
         raise CapacityError(
             f"ground_size {ground_size} exceeds the {MAX_GROUND}-element capacity"
         )
+
+
+def new_family(ground_size: int, members) -> Family:
+    """Build a Family from lists of ground-element indices."""
+    _check_ground(ground_size)
     words = []
     for pos, member in enumerate(members):
         w = 0
@@ -95,12 +99,7 @@ def new_family(ground_size: int, members) -> Family:
 
 def family_from_words(ground_size: int, words) -> Family:
     """Build a Family from raw bit-words, validating them against the ground."""
-    if ground_size < 0:
-        raise ValueError(f"ground_size must be >= 0, got {ground_size}")
-    if ground_size > MAX_GROUND:
-        raise CapacityError(
-            f"ground_size {ground_size} exceeds the {MAX_GROUND}-element capacity"
-        )
+    _check_ground(ground_size)
     ws = tuple(int(w) for w in words)
     for pos, w in enumerate(ws):
         if w < 0 or w >> ground_size:
@@ -120,6 +119,22 @@ def is_proper(f: Family) -> bool:
     return len(set(f.members)) == len(f.members)
 
 
+def signatures(f: Family) -> list[int]:
+    """Element signatures: entry v is the word {i : v in f.members[i]}.
+
+    Unlike ``dual``, this has no cap on the member count.
+    """
+    sigs = []
+    for v in range(f.ground_size):
+        bit = 1 << v
+        s = 0
+        for i, w in enumerate(f.members):
+            if w & bit:
+                s |= 1 << i
+        sigs.append(s)
+    return sigs
+
+
 def dual(f: Family) -> Family:
     """The family of element signatures, on the members of f as ground set.
 
@@ -132,15 +147,7 @@ def dual(f: Family) -> Family:
         raise CapacityError(
             f"dual ground would need {n} elements, exceeding capacity {MAX_GROUND}"
         )
-    sigs = []
-    for v in range(f.ground_size):
-        bit = 1 << v
-        s = 0
-        for i, w in enumerate(f.members):
-            if w & bit:
-                s |= 1 << i
-        sigs.append(s)
-    return Family(n, tuple(sigs))
+    return Family(n, tuple(signatures(f)))
 
 
 def switch(f: Family, v: int) -> Family:

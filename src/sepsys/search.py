@@ -13,16 +13,14 @@ Feasibility is tracked incrementally: adding a member can only invalidate
 witnesses of existing members, so each node carries per-member masks of
 surviving witness sets, and a branch dies as soon as some mask empties.
 
-Reports are deterministic and identical for any thread count: each depth-2
-subtree is explored independently (no shared best across subtrees) and the
-results merge by (max value, earliest subtree), so worker scheduling cannot
-influence the outcome.
+Reports are deterministic: one DFS walks the whole tree with a best size
+shared by every branch, and cuts a branch only when it cannot beat that
+best strictly, so the example reported is the first optimum in DFS order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,8 +46,8 @@ class SearchReport:
 
     ``exhausted`` is True only when the full symmetry-reduced space was
     covered, making ``best`` a proven optimum; it is False whenever the wall
-    budget expired first.  ``nodes_visited`` counts expanded nodes in the
-    deterministic sequential exploration order.
+    budget expired first.  ``nodes_visited`` counts the nodes the DFS
+    visited, a deterministic number for a search that ran to the end.
     """
 
     best: int | None
@@ -80,30 +78,30 @@ class ExistenceResult:
 def _witness_tables(m: int, k: int, mode: str):
     """Per-word witness bookkeeping tables.
 
-    Witness sets are all words of at most k bits.  ``kill[u]`` is the mask
-    of witnesses killed by u, where u is the XOR of two members (separator
-    mode: a witness survives only if it intersects every pairwise
-    difference) or the other member itself (owned-subset mode: a witness
-    dies when it is contained in another member).  ``init[w]`` is the mask
-    of witnesses available to a lone member w.
+    Witness sets are all words of at most k bits.  ``keep[w][x]`` is the
+    mask of member x's witnesses that survive when member w is added: in
+    separator mode a witness survives only if it intersects the difference
+    x ^ w; in owned-subset mode it dies when it is contained in w, whatever
+    x is.  ``init[w]`` is the mask of witnesses available to a lone member w.
     """
-    seps = [w for w in range(1 << m) if w.bit_count() <= k]
-    nsep = len(seps)
-    full = (1 << nsep) - 1
+    words = range(1 << m)
+    seps = [w for w in words if w.bit_count() <= k]
+    full = (1 << len(seps)) - 1
+    separator = mode == _MODE_SEPARATOR
     kill = []
-    for u in range(1 << m):
+    for u in words:
         mask = 0
         for t, S in enumerate(seps):
-            dead = (S & u) == 0 if mode == _MODE_SEPARATOR else (S & ~u) == 0
-            if dead:
+            if (S & u if separator else S & ~u) == 0:
                 mask |= 1 << t
         kill.append(mask)
-    if mode == _MODE_SEPARATOR:
-        init = [full] * (1 << m)
+    if separator:
+        keep = tuple(tuple(full & ~kill[x ^ w] for x in words) for w in words)
+        init = (full,) * (1 << m)
     else:
-        # witnesses must sit inside the member itself
-        init = [kill[w] for w in range(1 << m)]
-    return tuple(kill), tuple(init)
+        keep = tuple((full & ~kill[w],) * (1 << m) for w in words)
+        init = tuple(kill)  # witnesses must sit inside the member itself
+    return keep, init
 
 
 @lru_cache(maxsize=None)
@@ -122,28 +120,40 @@ class _Budget:
         return self.expired
 
 
-class _Subtree:
-    """DFS below one fixed prefix; self-contained so subtrees can run on any
-    worker without affecting each other's pruning or node counts."""
+class _DFS:
+    """Depth-first search over strictly increasing member sequences.
 
-    __slots__ = ("kill", "xor_mode", "target", "budget", "best", "best_members", "nodes", "found")
+    The best size is shared by the whole tree and a branch is cut only when
+    it cannot beat it strictly, so ``best_members`` is the first optimum in
+    DFS order.  With a target, the search stops at the first family of that
+    size.  Prefixes of length <= SYMMETRY_DEPTH must be canonical under
+    ``group``; ``group=None`` turns the reduction off.
+    """
 
-    def __init__(self, kill, xor_mode, target, budget):
-        self.kill = kill
-        self.xor_mode = xor_mode
+    __slots__ = (
+        "m", "keep", "group", "sym_depth", "target", "budget",
+        "best", "best_members", "nodes", "found",
+    )
+
+    def __init__(self, m, keep, group, target, budget):
+        self.m = m
+        self.keep = keep
+        self.group = group
+        self.sym_depth = 0 if group is None else SYMMETRY_DEPTH
         self.target = target
         self.budget = budget
-        self.best = -1
-        self.best_members = None
+        self.best = 0
+        self.best_members: tuple[int, ...] = ()
         self.nodes = 0
         self.found = None
 
     def run(self, members, survs, cands):
-        self._dfs(list(members), list(survs), cands)
-
-    def _dfs(self, members, survs, cands):
+        """Visit the family ``members``: ``survs[i]`` is the mask of member
+        i's surviving witnesses, ``cands`` the (word, witness mask) pairs
+        that may still be added."""
         self.nodes += 1
-        if self.budget.expired or (self.nodes & 1023 == 0 and self.budget.check()):
+        # the budget is checked on the first node, then on every 1024th
+        if self.budget.expired or (self.nodes & 1023 == 1 and self.budget.check()):
             return
         s = len(members)
         if s > self.best:
@@ -158,165 +168,59 @@ class _Subtree:
                 return
         elif s + len(cands) <= self.best:
             return
-        kill = self.kill
-        xor_mode = self.xor_mode
-        for idx in range(len(cands)):
-            w, alive = cands[idx]
+        keep = self.keep
+        check_prefix = s < self.sym_depth
+        for idx, (w, alive) in enumerate(cands):
+            kw = keep[w]
             new_survs = []
-            ok = True
-            if xor_mode:
-                for i in range(s):
-                    ns = survs[i] & ~kill[members[i] ^ w]
-                    if ns == 0:
-                        ok = False
-                        break
-                    new_survs.append(ns)
-            else:
-                kr = ~kill[w]
-                for i in range(s):
-                    ns = survs[i] & kr
-                    if ns == 0:
-                        ok = False
-                        break
-                    new_survs.append(ns)
-            if not ok:
-                continue
-            new_survs.append(alive)
-            child = []
-            if xor_mode:
-                for t in range(idx + 1, len(cands)):
-                    w2, a2 = cands[t]
-                    a2n = a2 & ~kill[w2 ^ w]
-                    if a2n:
-                        child.append((w2, a2n))
-            else:
-                for t in range(idx + 1, len(cands)):
-                    w2, a2 = cands[t]
-                    a2n = a2 & kr
-                    if a2n:
-                        child.append((w2, a2n))
-            members.append(w)
-            self._dfs(members, new_survs, child)
-            members.pop()
-            if self.budget.expired or self.found is not None:
-                return
-
-
-def _search(m, k, mode, group, target, budget_ms, threads, use_symmetry):
-    """Common driver: enumerate canonical alive prefixes of length <= 2, then
-    run one independent subtree per prefix and merge deterministically."""
-    kill, init = _witness_tables(m, k, mode)
-    xor_mode = mode == _MODE_SEPARATOR
-    budget = _Budget(budget_ms)
-    nodes = 0
-    best = 0
-    best_members: tuple[int, ...] = ()
-    found = None
-    roots = []
-
-    # breadth-limited walk over depths 0..2 (counted once, not per subtree)
-    def shallow(members, survs, cands, depth):
-        nonlocal nodes, best, best_members, found
-        nodes += 1
-        if found is not None or budget.check():
-            return
-        if len(members) > best:
-            best = len(members)
-            best_members = tuple(members)
-        if target is not None and len(members) >= target:
-            found = tuple(members)
-            return
-        if depth == SYMMETRY_DEPTH:
-            roots.append((tuple(members), tuple(survs), cands))
-            return
-        for idx in range(len(cands)):
-            w, alive = cands[idx]
-            new_survs = []
-            ok = True
-            for i in range(len(members)):
-                ns = survs[i] & ~kill[members[i] ^ w] if xor_mode else survs[i] & ~kill[w]
-                if ns == 0:
-                    ok = False
+            for x, sv in zip(members, survs):
+                ns = sv & kw[x]
+                if not ns:
                     break
                 new_survs.append(ns)
-            if not ok:
-                continue
-            nxt = tuple(members) + (w,)
-            if use_symmetry and not _is_canonical_prefix(m, nxt, group):
-                continue
-            new_survs.append(alive)
-            child = []
-            for t in range(idx + 1, len(cands)):
-                w2, a2 = cands[t]
-                a2n = a2 & ~kill[w2 ^ w] if xor_mode else a2 & ~kill[w]
-                if a2n:
-                    child.append((w2, a2n))
-            shallow(list(nxt), new_survs, child, depth + 1)
-            if found is not None:
-                return
+            else:  # every member keeps a witness
+                if check_prefix and not _is_canonical_prefix(self.m, (*members, w), self.group):
+                    continue
+                new_survs.append(alive)
+                child = [(w2, a) for w2, a2 in cands[idx + 1:] if (a := a2 & kw[w2])]
+                members.append(w)
+                self.run(members, new_survs, child)
+                members.pop()
+                if self.budget.expired or self.found is not None:
+                    return
 
-    base = [(w, init[w]) for w in range(1 << m) if init[w]]
-    shallow([], [], base, 0)
 
-    if found is not None or budget.expired:
-        if found is not None:
-            fam = Family(m, found)
-        elif target is None:
-            fam = Family(m, best_members)  # best-so-far on expiry
-        else:
-            fam = None
-        return best, best_members, fam, not budget.expired, nodes
+def _search(m, k, mode, group, target, budget_ms):
+    """Run the DFS from the empty family.
 
-    if target is not None or threads <= 1:
-        # sequential, with early exit on the first subtree that finds a target
-        for members, survs, cands in roots:
-            sub = _Subtree(kill, xor_mode, target, budget)
-            sub.run(members, survs, cands)
-            nodes += sub.nodes
-            if sub.best > best:
-                best = sub.best
-                best_members = sub.best_members
-            if sub.found is not None:
-                return best, best_members, Family(m, sub.found), not budget.expired, nodes
-            if budget.expired:
-                break
-    else:
-        def work(root):
-            members, survs, cands = root
-            sub = _Subtree(kill, xor_mode, None, budget)
-            sub.run(members, survs, cands)
-            return sub
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            subs = list(pool.map(work, roots))
-        for sub in subs:
-            nodes += sub.nodes
-            if sub.best > best:
-                best = sub.best
-                best_members = sub.best_members
-    if target is not None:
-        return best, best_members, None, not budget.expired, nodes
-    return best, best_members, Family(m, best_members), not budget.expired, nodes
+    Returns (members, exhausted, nodes): members is the first optimum in
+    DFS order (the best so far on expiry), or with a target the first
+    family of that size, None if there is none.
+    """
+    keep, init = _witness_tables(m, k, mode)
+    dfs = _DFS(m, keep, group, target, _Budget(budget_ms))
+    dfs.run([], [], [(w, init[w]) for w in range(1 << m) if init[w]])
+    members = dfs.best_members if target is None else dfs.found
+    return members, not dfs.budget.expired, dfs.nodes
 
 
 def max_nice_size(
     m: int,
     k: int,
     budget_ms: int | None = None,
-    threads: int = 1,
     use_symmetry: bool = True,
 ) -> SearchReport:
     """Largest family of distinct subsets of an m-ground in which every
     member has a separator of size <= k, by exhaustive symmetry-reduced DFS.
 
-    The example is the lexicographically least optimum visited; the result
-    is identical for any thread count.
+    The example is the lexicographically least optimum visited.
     """
     _check_mk(m, k, m_cap=6)
-    best, _, fam, exhausted, nodes = _search(
-        m, k, _MODE_SEPARATOR, PERMUTATIONS_AND_SWITCHING,
-        None, budget_ms, threads, use_symmetry,
+    group = PERMUTATIONS_AND_SWITCHING if use_symmetry else None
+    members, exhausted, nodes = _search(m, k, _MODE_SEPARATOR, group, None, budget_ms)
+    return SearchReport(
+        len(members), Family(m, members), exhausted, nodes, wall_budget_ms=budget_ms
     )
-    return SearchReport(best, fam, exhausted, nodes, wall_budget_ms=budget_ms)
 
 
 def exists_nice_of_size(
@@ -332,11 +236,11 @@ def exists_nice_of_size(
         raise ValueError(f"target_n must be >= 0, got {target_n}")
     if target_n > 1 << m:
         return ExistenceResult(None, True, 0)  # more members than distinct subsets
-    _, _, fam, exhausted, nodes = _search(
-        m, k, _MODE_SEPARATOR, PERMUTATIONS_AND_SWITCHING,
-        target_n, budget_ms, 1, use_symmetry,
+    group = PERMUTATIONS_AND_SWITCHING if use_symmetry else None
+    members, exhausted, nodes = _search(m, k, _MODE_SEPARATOR, group, target_n, budget_ms)
+    return ExistenceResult(
+        None if members is None else Family(m, members), exhausted, nodes
     )
-    return ExistenceResult(fam, exhausted, nodes)
 
 
 def min_m_hyperseparating(
@@ -344,7 +248,6 @@ def min_m_hyperseparating(
     k: int,
     m_max: int,
     budget_ms: int | None = None,
-    threads: int = 1,
 ) -> SearchReport:
     """Smallest m <= m_max carrying a nice-for-k family of n distinct
     subsets; by duality this is the minimum k-hyperseparating system size.
@@ -352,7 +255,6 @@ def min_m_hyperseparating(
     The example is the primal system (the dual of the found family).  Levels
     below ceil(log2 n) cannot hold n distinct subsets and are skipped.
     """
-    del threads  # level scan is sequential so reports stay deterministic
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if m_max > 6:
@@ -392,7 +294,6 @@ def max_unique_subset_family(
     m: int,
     k: int,
     budget_ms: int | None = None,
-    threads: int = 1,
     use_symmetry: bool = True,
 ) -> SearchReport:
     """Largest family of distinct subsets where each member owns a subset of
@@ -402,11 +303,11 @@ def max_unique_subset_family(
     the ownership property.
     """
     _check_mk(m, k, m_cap=5)
-    best, _, fam, exhausted, nodes = _search(
-        m, k, _MODE_OWNED_SUBSET, PERMUTATIONS_ONLY,
-        None, budget_ms, threads, use_symmetry,
+    group = PERMUTATIONS_ONLY if use_symmetry else None
+    members, exhausted, nodes = _search(m, k, _MODE_OWNED_SUBSET, group, None, budget_ms)
+    return SearchReport(
+        len(members), Family(m, members), exhausted, nodes, wall_budget_ms=budget_ms
     )
-    return SearchReport(best, fam, exhausted, nodes, wall_budget_ms=budget_ms)
 
 
 def max_pair_family(m: int, k: int) -> SearchReport:

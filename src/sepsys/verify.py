@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Family, SeparatorWitness, dual
+from .core import Family, SeparatorWitness, dual, signatures
 
 SEPARATING = "separating"
 COMPLETELY_SEPARATING = "completely-separating"
@@ -59,19 +59,6 @@ def _require_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _signatures(f: Family) -> list[int]:
-    # like dual(f).members but without the 64-member capacity cap
-    sigs = []
-    for v in range(f.ground_size):
-        bit = 1 << v
-        s = 0
-        for i, w in enumerate(f.members):
-            if w & bit:
-                s |= 1 << i
-        sigs.append(s)
-    return sigs
-
-
 def words_of_size(m: int, size: int):
     """All words with `size` bits among the low m, in ascending word order."""
     if size == 0:
@@ -94,7 +81,7 @@ def is_separating(f: Family) -> Certificate:
     Equivalent to all element signatures being pairwise distinct; witnesses
     are the signatures, failure is a pair of elements sharing one.
     """
-    sigs = _signatures(f)
+    sigs = signatures(f)
     seen: dict[int, int] = {}
     for v, s in enumerate(sigs):
         if s in seen:
@@ -109,7 +96,7 @@ def is_completely_separating(f: Family) -> Certificate:
     Witnesses store, per element v, the lowest distinguishing member index
     against each other element; failure is the first bad ordered pair.
     """
-    sigs = _signatures(f)
+    sigs = signatures(f)
     n = f.ground_size
     wit = []
     for v in range(n):
@@ -265,7 +252,7 @@ def recheck_certificate(f: Family, cert: Certificate) -> bool:
     if not cert.ok:
         raise ValueError("can only recheck a successful certificate")
     if cert.prop == SEPARATING:
-        sigs = _signatures(f)
+        sigs = signatures(f)
         return (
             len(cert.witnesses) == f.ground_size
             and list(cert.witnesses) == sigs

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sepsys import new_family
+from sepsys import Family, dual, new_family, search
 from sepsys.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -264,8 +264,6 @@ def test_search_unique_subset_and_pair_family(capsys):
 
 def test_search_deterministic_output(capsys):
     a = run(capsys, ["search", "--problem", "g", "--m", "4", "--k", "2"])
-    b = run(capsys, ["search", "--problem", "g", "--m", "4", "--k", "2", "--threads", "2"])
-    assert a == b
     c = run(capsys, ["search", "--problem", "g", "--m", "4", "--k", "2", "--no-symmetry"])
     assert c[1].splitlines()[0] == a[1].splitlines()[0]  # same value, same line
 
@@ -280,8 +278,6 @@ def test_search_budget_env(capsys, monkeypatch):
 def test_search_usage_errors(capsys):
     code, _, err = run(capsys, ["search", "--problem", "g"])
     assert code == EXIT_USAGE and "--m is required" in err
-    code, _, _ = run(capsys, ["search", "--problem", "g", "--m", "3", "--threads", "0"])
-    assert code == EXIT_USAGE
 
 
 # --- table -------------------------------------------------------------------
@@ -334,6 +330,32 @@ def test_construct_self_check_sentinel(capsys, monkeypatch):
     )
     code, _, err = run(capsys, ["construct", "--kind", "binary", "--n", "4"])
     assert code == 3
+    assert "internal error" in err
+
+
+@pytest.mark.parametrize(
+    "problem, name, result",
+    [
+        ("g", "max_nice_size", lambda bad: search.SearchReport(2, bad, True, 1)),
+        ("exists", "exists_nice_of_size", lambda bad: search.ExistenceResult(bad, True, 1)),
+        (
+            "min-m",
+            "min_m_hyperseparating",
+            lambda bad: search.SearchReport(
+                2, dual(bad), True, 1, levels=((1, "infeasible"), (2, "found"))
+            ),
+        ),
+    ],
+)
+def test_search_self_check_sentinel(capsys, monkeypatch, problem, name, result):
+    import sepsys.cli as cli
+
+    # a search returning a family that is not nice must exit 3 and print nothing
+    bad = Family(2, (0b01, 0b01))
+    monkeypatch.setattr(cli.search, name, lambda *a, **kw: result(bad))
+    code, out, err = run(capsys, ["search", "--problem", problem, "--m", "2", "--n", "2"])
+    assert code == 3
+    assert out == ""
     assert "internal error" in err
 
 

@@ -15,6 +15,7 @@ from sepsys import (
     pair_family_valid,
 )
 from sepsys.search import (
+    ExistenceResult,
     exists_nice_of_size,
     max_nice_size,
     max_pair_family,
@@ -110,17 +111,6 @@ def test_max_nice_size_symmetry_cross_check():
             with_sym = max_nice_size(m, k, use_symmetry=True)
             without = max_nice_size(m, k, use_symmetry=False)
             assert with_sym.best == without.best, (m, k)
-
-
-def test_max_nice_size_thread_count_invariance():
-    one = max_nice_size(3, 2, threads=1)
-    four = max_nice_size(3, 2, threads=4)
-    assert (one.best, one.example, one.exhausted, one.nodes_visited) == (
-        four.best,
-        four.example,
-        four.exhausted,
-        four.nodes_visited,
-    )
 
 
 def test_max_nice_size_monotone_in_m_and_k():
@@ -245,6 +235,49 @@ def test_max_unique_agrees_with_binomial_formula():
             rep = max_unique_subset_family(m, k)
             assert rep.exhausted
             assert rep.best == binom(m, k_prime(m, k)), (m, k)
+
+
+# --- pinned reports ----------------------------------------------------------
+
+# Exact reports of the searches: (best or status, example members, exhausted).
+# Pruning changes may lower node counts but must not change any of these.
+PINNED_REPORTS = {
+    "g(5,2)": (
+        lambda: max_nice_size(5, 2),
+        (10, (0, 1, 2, 5, 10, 21, 26, 29, 30, 31), True),
+    ),
+    "exists(5,2,10)": (
+        lambda: exists_nice_of_size(5, 2, 10),
+        ("found", (0, 1, 2, 5, 10, 21, 26, 29, 30, 31), True),
+    ),
+    "exists(5,2,11)": (
+        lambda: exists_nice_of_size(5, 2, 11),
+        ("proven-absent", None, True),
+    ),
+    "unique(5,2)": (
+        lambda: max_unique_subset_family(5, 2),
+        (10, (3, 5, 6, 9, 10, 12, 17, 18, 20, 24), True),
+    ),
+    "g(6,1)": (
+        lambda: max_nice_size(6, 1),
+        (6, (0, 3, 5, 9, 17, 33), True),
+    ),
+    "exists(6,2,12)": (
+        lambda: exists_nice_of_size(6, 2, 12),
+        ("found", (0, 1, 2, 5, 10, 21, 42, 53, 58, 61, 62, 63), True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_search_reports_pinned(name):
+    run, want = PINNED_REPORTS[name]
+    rep = run()
+    if isinstance(rep, ExistenceResult):
+        head, fam = rep.status, rep.family
+    else:
+        head, fam = rep.best, rep.example
+    assert (head, None if fam is None else fam.members, rep.exhausted) == want
 
 
 # --- max_pair_family ---------------------------------------------------------
