@@ -49,10 +49,7 @@ def k_prime(m: int, k: int) -> int:
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if m >= 2 * k - 1:
-        # both branches agree at the boundary: C(2k-1, k) == C(2k-1, k-1)
-        if m == 2 * k - 1:
-            assert comb(m, k) == comb(m, m // 2)
+    if m >= 2 * k - 1:  # at m = 2k-1 both branches give C(m, k)
         return k
     return m // 2
 
@@ -99,12 +96,8 @@ def f2_exact(n: int) -> int:
     """Exact minimum size of a 2-hyperseparating system on n elements:
     ceil(n/2) up to n = 10, then the smallest m with C(m, 2) >= n."""
     _require_n(n)
-    if n <= 10:
-        val = (n + 1) // 2
-        if n == 10:
-            # both branches of the formula meet at the threshold
-            assert val == _min_m_choose2(10)
-        return val
+    if n <= 10:  # both branches give 5 at n = 10
+        return (n + 1) // 2
     return _min_m_choose2(n)
 
 

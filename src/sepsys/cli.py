@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import bounds, construct, search, verify
 from .core import (
@@ -125,108 +126,123 @@ def _fmt_set(word: int) -> str:
 
 def _read_input(args) -> Family:
     if getattr(args, "input", None):
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ValueError(f"cannot read --input {args.input!r}: {e.strerror}") from None
     else:
         text = sys.stdin.read()
     return parse_family(text)
 
 
-def _need_k(args) -> int:
-    if args.k is None:
-        raise ValueError(f"--k is required for property {args.property!r}")
-    return args.k
+def _need(args, *flags: str, what: str) -> None:
+    """Reject the command line if any of the named flags was not given."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{flag} is required for {what}")
+
+
+class _Property(NamedTuple):
+    oracle: str  # name in ``verify``, looked up at call time
+    takes_k: bool
+    line: Callable  # (family, index, witness) -> one witness line of the report
+
+
+PROPERTIES = {
+    "separating": _Property(
+        "is_separating", False,
+        lambda f, v, sig: f"element {v}: signature {_fmt_set(sig)}",
+    ),
+    "completely": _Property(
+        "is_completely_separating", False,
+        lambda f, v, row: f"element {v}: " + " ".join(f"{v}|{v2}->set{i}" for v2, i in row),
+    ),
+    "hcs": _Property(
+        "is_k_hypercompletely_separating", True,
+        lambda f, v, idxs: f"element {v}: intersection of members {list(idxs)}",
+    ),
+    "hs": _Property(
+        "is_k_hyperseparating", True,
+        lambda f, v, w: f"element {v}: witness members {bits(w.separator)},"
+        f" contained in exactly {bits(w.key)}",
+    ),
+    "nice": _Property(  # reads the family as a dual family
+        "is_nice", True,
+        lambda f, i, w: f"member {i} {_fmt_set(f.members[i])}: separator"
+        f" {_fmt_set(w.separator)} key {_fmt_set(w.key)}",
+    ),
+}
+
+
+def _oracle(prop: str, f: Family, k: int | None):
+    entry = PROPERTIES[prop]
+    oracle = getattr(verify, entry.oracle)
+    return oracle(f, k) if entry.takes_k else oracle(f)
+
+
+def _self_check(prop: str, f: Family | None, k: int | None, what: str):
+    """Certify a family before it is printed: its oracle must pass and every
+    witness must survive the independent recheck.  Returns the certificate;
+    None, for a search that found nothing, passes."""
+    if f is None:
+        return None
+    cert = _oracle(prop, f, k)
+    if not cert:
+        raise SelfCheckError(f"{what} failed its oracle at {cert.failure}")
+    if not verify.recheck_certificate(f, cert):
+        raise SelfCheckError(f"{what}'s certificate failed its recheck")
+    return cert
 
 
 def cmd_verify(args) -> int:
     f = _read_input(args)
-    prop = args.property
-    if prop == "separating":
-        cert = verify.is_separating(f)
-    elif prop == "completely":
-        cert = verify.is_completely_separating(f)
-    elif prop == "hcs":
-        cert = verify.is_k_hypercompletely_separating(f, _need_k(args))
-    elif prop == "hs":
-        cert = verify.is_k_hyperseparating(f, _need_k(args))
-    else:  # nice; the input family is read as a dual family
-        cert = verify.is_nice(f, _need_k(args))
+    prop = PROPERTIES[args.property]
+    if prop.takes_k:
+        _need(args, "k", what=f"property {args.property!r}")
+    cert = _oracle(args.property, f, args.k)
     if not cert:
-        print(f"FAIL {prop}: counterexample {cert.failure}")
+        print(f"FAIL {args.property}: counterexample {cert.failure}")
         return EXIT_FAIL
-    print(f"PASS {prop}" + (f" k={cert.k}" if cert.k is not None else ""))
-    _print_witnesses(f, cert)
+    print(f"PASS {args.property}" + (f" k={cert.k}" if cert.k is not None else ""))
+    for i, w in enumerate(cert.witnesses):
+        print("  " + prop.line(f, i, w))
     return EXIT_OK
 
 
-def _print_witnesses(f: Family, cert) -> None:
-    if cert.prop == verify.SEPARATING:
-        for v, sig in enumerate(cert.witnesses):
-            print(f"  element {v}: signature {_fmt_set(sig)}")
-    elif cert.prop == verify.COMPLETELY_SEPARATING:
-        for v, row in enumerate(cert.witnesses):
-            pieces = " ".join(f"{v}|{v2}->set{idx}" for v2, idx in row)
-            print(f"  element {v}: {pieces}")
-    elif cert.prop == verify.HYPERCOMPLETELY:
-        for v, idxs in enumerate(cert.witnesses):
-            print(f"  element {v}: intersection of members {list(idxs)}")
-    elif cert.prop == verify.NICE:
-        for i, w in enumerate(cert.witnesses):
-            print(
-                f"  member {i} {_fmt_set(f.members[i])}: separator {_fmt_set(w.separator)}"
-                f" key {_fmt_set(w.key)}"
-            )
-    elif cert.prop == verify.HYPERSEPARATING:
-        for v, w in enumerate(cert.witnesses):
-            print(
-                f"  element {v}: witness members {bits(w.separator)},"
-                f" contained in exactly {bits(w.key)}"
-            )
+class _Kind(NamedTuple):
+    build: str  # constructor in ``construct``, looked up at call time
+    size: str  # the flag that sizes it: "n" or "m"
+    prop: str  # the property in PROPERTIES that certifies it
+    k: int | None  # fixed k of that property; None passes --k to the constructor
+    role: str
+
+
+KINDS = {
+    "binary": _Kind("binary_separating", "n", "separating", None, "primal"),
+    "spencer": _Kind("spencer_completely_separating", "n", "completely", None, "primal"),
+    "hcs": _Kind("k_hcs_minimal", "n", "hcs", None, "primal"),
+    "hs2": _Kind("hyperseparating_minimal_2", "n", "hs", 2, "primal"),
+    "nice-small": _Kind("nice_small_m", "m", "nice", 2, "dual"),
+}
 
 
 def cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "binary":
-        fam = construct.binary_separating(_need_n(args))
-        cert = verify.is_separating(fam)
-        role = "primal"
-    elif kind == "spencer":
-        fam = construct.spencer_completely_separating(_need_n(args))
-        cert = verify.is_completely_separating(fam)
-        role = "primal"
-    elif kind == "hcs":
-        if args.k is None:
-            raise ValueError("--k is required for kind 'hcs'")
-        fam = construct.k_hcs_minimal(_need_n(args), args.k)
-        cert = verify.is_k_hypercompletely_separating(fam, args.k)
-        role = "primal"
-    elif kind == "hs2":
-        fam = construct.hyperseparating_minimal_2(_need_n(args))
-        cert = verify.is_k_hyperseparating(fam, 2)
-        role = "primal"
-    else:  # nice-small
-        if args.m is None:
-            raise ValueError("--m is required for kind 'nice-small'")
-        fam = construct.nice_small_m(args.m)
-        cert = verify.is_nice(fam, 2)
-        role = "dual"
-    if not cert:
-        raise SelfCheckError(f"construction {kind} failed its oracle at {cert.failure}")
-    wits = None
-    if kind == "nice-small":
-        wits = list(enumerate(cert.witnesses))
-    print(emit_family(fam, args.format, role=role, witnesses=wits))
+    kind = KINDS[args.kind]
+    k_flag = kind.k is None and PROPERTIES[kind.prop].takes_k
+    flags = ("k", kind.size) if k_flag else (kind.size,)
+    _need(args, *flags, what=f"kind {args.kind!r}")
+    build, size = getattr(construct, kind.build), getattr(args, kind.size)
+    fam = build(size, args.k) if k_flag else build(size)
+    k = args.k if k_flag else kind.k
+    cert = _self_check(kind.prop, fam, k, f"construction {args.kind}")
+    wits = list(enumerate(cert.witnesses)) if cert.prop == verify.NICE else None
+    print(emit_family(fam, args.format, role=kind.role, witnesses=wits))
     return EXIT_OK
 
 
-def _need_n(args) -> int:
-    if args.n is None:
-        raise ValueError("--n is required")
-    return args.n
-
-
 def cmd_bounds(args) -> int:
-    n, k = _need_n(args), args.k if args.k is not None else 2
+    n, k = args.n, args.k if args.k is not None else 2
     pair = bounds.f_bounds(n, k)
     tag = pair.lower_source + (", clamped" if pair.lower_clamped else "")
     print(f"{pair.lower} ≤ f({n},{k}) ≤ {pair.upper} [{tag}]")
@@ -239,17 +255,16 @@ def cmd_dual(args) -> int:
 
 
 def cmd_switch(args) -> int:
-    if args.v is None:
-        raise ValueError("--v is required for switch")
+    _need(args, "v", what="switch")
     print(emit_family(switch(_read_input(args), args.v), args.format))
     return EXIT_OK
 
 
+GROUPS = {"perm": PERMUTATIONS_ONLY, "perm+switch": PERMUTATIONS_AND_SWITCHING}
+
+
 def cmd_canon(args) -> int:
-    group = (
-        PERMUTATIONS_AND_SWITCHING if args.group == "perm+switch" else PERMUTATIONS_ONLY
-    )
-    print(emit_family(canonical_form(_read_input(args), group), args.format))
+    print(emit_family(canonical_form(_read_input(args), GROUPS[args.group]), args.format))
     return EXIT_OK
 
 
@@ -265,26 +280,33 @@ def _budget_ms(args) -> int | None:
     return None
 
 
+# search problem -> the flags it requires
+PROBLEMS = {
+    "g": ("m",),
+    "exists": ("m", "n"),
+    "min-m": ("n",),
+    "unique-subset": ("m",),
+    "pair-family": ("m",),
+}
+
+
 def cmd_search(args) -> int:
     problem = args.problem
+    _need(args, *PROBLEMS[problem], what=f"problem {problem!r}")
     budget = _budget_ms(args)
     sym = not args.no_symmetry
     k = args.k if args.k is not None else 2
     if problem == "g":
-        if args.m is None:
-            raise ValueError("--m is required for problem 'g'")
         rep = search.max_nice_size(args.m, k, budget, use_symmetry=sym)
-        _certify_nice(rep.example, k)
+        _self_check("nice", rep.example, k, "search example")
         print(f"g({args.m},{k}) = {rep.best} ({_status(rep.exhausted)})")
         if k >= 3:
             print("note: no known exact reference for k >= 3; value is search evidence")
         print(f"nodes: {rep.nodes_visited}")
         print(emit_family(rep.example, args.format, role="dual"))
     elif problem == "exists":
-        if args.m is None or args.n is None:
-            raise ValueError("--m and --n are required for problem 'exists'")
         res = search.exists_nice_of_size(args.m, k, args.n, budget, use_symmetry=sym)
-        _certify_nice(res.family, k)
+        _self_check("nice", res.family, k, "search example")
         print(f"exists(m={args.m},k={k},n={args.n}): {res.status}")
         print(f"nodes: {res.nodes_visited}")
         if res.family is not None:
@@ -292,9 +314,8 @@ def cmd_search(args) -> int:
         elif not res.exhausted:
             return EXIT_FAIL
     elif problem == "min-m":
-        rep = search.min_m_hyperseparating(_need_n(args), k, args.m_max, budget)
-        if rep.example is not None:
-            _certify_nice(dual(rep.example), k)
+        rep = search.min_m_hyperseparating(args.n, k, args.m_max, budget)
+        _self_check("hs", rep.example, k, "search example")
         for m, status in rep.levels or ():
             print(f"  m={m}: {status}")
         if rep.best is None:
@@ -306,15 +327,11 @@ def cmd_search(args) -> int:
         print(f"nodes: {rep.nodes_visited}")
         print(emit_family(rep.example, args.format, role="primal"))
     elif problem == "unique-subset":
-        if args.m is None:
-            raise ValueError("--m is required for problem 'unique-subset'")
         rep = search.max_unique_subset_family(args.m, k, budget, use_symmetry=sym)
         print(f"max-unique-subset({args.m},{k}) = {rep.best} ({_status(rep.exhausted)})")
         print(f"nodes: {rep.nodes_visited}")
         print(emit_family(rep.example, args.format))
     else:  # pair-family
-        if args.m is None:
-            raise ValueError("--m is required for problem 'pair-family'")
         rep = search.max_pair_family(args.m, k)
         print(f"max-pair-family({args.m},{k}) = {rep.best} ({_status(rep.exhausted)})")
         print(f"nodes: {rep.nodes_visited}")
@@ -324,18 +341,6 @@ def cmd_search(args) -> int:
         ]
         print(json.dumps({"pairs": doc}, separators=(",", ":")))
     return EXIT_OK
-
-
-def _certify_nice(d: Family | None, k: int) -> None:
-    """Re-verify a search example (a dual family) before it is printed;
-    None, for a search that found nothing, passes."""
-    if d is None:
-        return
-    cert = verify.is_nice(d, k)
-    if not cert:
-        raise SelfCheckError(f"search example failed its oracle at member {cert.failure}")
-    if not verify.recheck_certificate(d, cert):
-        raise SelfCheckError("search example's certificate failed its recheck")
 
 
 def _status(exhausted: bool) -> str:
@@ -377,13 +382,13 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", help="read the family document from a file instead of stdin")
 
     sp = sub.add_parser("verify", help="check a separation property of a family document")
-    sp.add_argument("--property", required=True, choices=("separating", "completely", "hcs", "hs", "nice"))
+    sp.add_argument("--property", required=True, choices=PROPERTIES)
     sp.add_argument("--k", type=int)
     common(sp, input_doc=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("construct", help="emit a self-verified construction")
-    sp.add_argument("--kind", required=True, choices=("binary", "spencer", "hcs", "hs2", "nice-small"))
+    sp.add_argument("--kind", required=True, choices=KINDS)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--k", type=int)
@@ -396,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("search", help="run an extremal search")
-    sp.add_argument("--problem", required=True, choices=("g", "exists", "min-m", "unique-subset", "pair-family"))
+    sp.add_argument("--problem", required=True, choices=PROBLEMS)
     sp.add_argument("--m", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
@@ -422,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_switch)
 
     sp = sub.add_parser("canon", help="canonical form under the chosen symmetry group")
-    sp.add_argument("--group", choices=("perm", "perm+switch"), default="perm+switch")
+    sp.add_argument("--group", choices=GROUPS, default="perm+switch")
     common(sp, input_doc=True)
     sp.set_defaults(func=cmd_canon)
 

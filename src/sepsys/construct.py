@@ -54,32 +54,19 @@ def binary_separating(n: int) -> Family:
 
 
 def _subset_assignment(m: int, j: int, n: int) -> list[tuple[int, ...]]:
-    """First n j-subsets of range(m) in index order, fixed up so that every
-    ground index is covered (an uncovered index would yield an empty member
-    in the dual and an off-by-one in the size claim)."""
+    """First n j-subsets of range(m) in lexicographic order.
+
+    They cover the ground, so no member of the dual is empty: element
+    u >= j-1 first appears in subset number u-j+2 (counting from 1), so the
+    first m-j+1 subsets cover everything.  Both callers take the least m
+    with C(m, j) >= n for their subset size j = j(m) >= 1, whence
+    n > C(m-1, j(m-1)) >= m-1 >= m-j (the binomial is at least m-1 because
+    0 < j(m-1) < m-1 once m > 2, and C(1, j) = 1 at m = 2).
+    """
     subs = list(combinations(range(m), j))
     if n > len(subs):
         raise ValueError(f"cannot pick {n} distinct {j}-subsets of {m} elements")
-    chosen = subs[:n]
-    covered = set()
-    for s in chosen:
-        covered.update(s)
-    if j == 0 or len(covered) == m:
-        return chosen
-    # dedicate the least subset through each index, then refill in order
-    dedicated: list[tuple[int, ...]] = []
-    for u in range(m):
-        for s in subs:
-            if u in s and s not in dedicated:
-                dedicated.append(s)
-                break
-    fill = [s for s in subs if s not in dedicated]
-    out = (dedicated + fill)[:n]
-    covered = set()
-    for s in out:
-        covered.update(s)
-    assert covered == set(range(m)), "subset assignment failed to cover the ground"
-    return out
+    return subs[:n]
 
 
 def _dual_of_assigned_subsets(n: int, m: int, j: int) -> Family:

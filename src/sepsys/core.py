@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 MAX_GROUND = 64
+CANONICAL_MAX_GROUND = 8  # canonical_form tries all m! relabelings
 
 PERMUTATIONS_ONLY = "permutations"
 PERMUTATIONS_AND_SWITCHING = "permutations+switching"
@@ -189,10 +190,16 @@ def canonical_form(f: Family, group: str = PERMUTATIONS_ONLY) -> Family:
     The orbit ranges over all ground relabelings, plus every switch-subset
     when group is PERMUTATIONS_AND_SWITCHING.  Two families have equal
     canonical forms iff one group element maps one to the other.  Cost is
-    m! (times the member count for the switching group), fine for m <= 7.
+    m! (times the member count for the switching group), so grounds above
+    CANONICAL_MAX_GROUND raise CapacityError.
     """
     if group not in (PERMUTATIONS_ONLY, PERMUTATIONS_AND_SWITCHING):
         raise ValueError(f"unknown symmetry group {group!r}")
+    if f.ground_size > CANONICAL_MAX_GROUND:
+        raise CapacityError(
+            f"canonical form of a {f.ground_size}-element ground exceeds the cap of"
+            f" {CANONICAL_MAX_GROUND}"
+        )
     if not f.members:
         return Family(f.ground_size, ())
     best = None

@@ -190,18 +190,18 @@ class _DFS:
                     return
 
 
-def _search(m, k, mode, group, target, budget_ms):
-    """Run the DFS from the empty family.
+def _search(m, k, mode, group, target, budget):
+    """Run the DFS from the empty family under ``budget``, a _Budget.
 
     Returns (members, exhausted, nodes): members is the first optimum in
     DFS order (the best so far on expiry), or with a target the first
     family of that size, None if there is none.
     """
     keep, init = _witness_tables(m, k, mode)
-    dfs = _DFS(m, keep, group, target, _Budget(budget_ms))
+    dfs = _DFS(m, keep, group, target, budget)
     dfs.run([], [], [(w, init[w]) for w in range(1 << m) if init[w]])
     members = dfs.best_members if target is None else dfs.found
-    return members, not dfs.budget.expired, dfs.nodes
+    return members, not budget.expired, dfs.nodes
 
 
 def max_nice_size(
@@ -217,7 +217,9 @@ def max_nice_size(
     """
     _check_mk(m, k, m_cap=6)
     group = PERMUTATIONS_AND_SWITCHING if use_symmetry else None
-    members, exhausted, nodes = _search(m, k, _MODE_SEPARATOR, group, None, budget_ms)
+    members, exhausted, nodes = _search(
+        m, k, _MODE_SEPARATOR, group, None, _Budget(budget_ms)
+    )
     return SearchReport(
         len(members), Family(m, members), exhausted, nodes, wall_budget_ms=budget_ms
     )
@@ -237,7 +239,11 @@ def exists_nice_of_size(
     if target_n > 1 << m:
         return ExistenceResult(None, True, 0)  # more members than distinct subsets
     group = PERMUTATIONS_AND_SWITCHING if use_symmetry else None
-    members, exhausted, nodes = _search(m, k, _MODE_SEPARATOR, group, target_n, budget_ms)
+    return _exists(m, k, target_n, group, _Budget(budget_ms))
+
+
+def _exists(m, k, target_n, group, budget) -> ExistenceResult:
+    members, exhausted, nodes = _search(m, k, _MODE_SEPARATOR, group, target_n, budget)
     return ExistenceResult(
         None if members is None else Family(m, members), exhausted, nodes
     )
@@ -261,32 +267,26 @@ def min_m_hyperseparating(
         raise CapacityError(f"m_max {m_max} exceeds the exhaustive cap of 6")
     if n > 1 << m_max:
         raise ValueError(f"n = {n} exceeds 2^m_max = {1 << m_max}")
-    budget = _Budget(budget_ms)
+    _check_mk(m_max, k, m_cap=6)  # rejects k < 1 before any level runs
+    budget = _Budget(budget_ms)  # one deadline for every level
     nodes = 0
     levels: list[tuple[int, str]] = []
     for m in range(1, m_max + 1):
         if n > 1 << m:
             levels.append((m, "infeasible"))
             continue
-        remaining = None
-        if budget.deadline is not None:
-            remaining = max(0, int((budget.deadline - time.monotonic()) * 1000))
-        res = exists_nice_of_size(m, k, n, budget_ms=remaining)
+        res = _exists(m, k, n, PERMUTATIONS_AND_SWITCHING, budget)
         nodes += res.nodes_visited
         levels.append((m, res.status))
         if res.family is not None:
-            exhausted = all(st in ("infeasible", "proven-absent") for _, st in levels[:-1])
             return SearchReport(
-                m, dual(res.family), exhausted, nodes,
+                m, dual(res.family), not budget.expired, nodes,
                 wall_budget_ms=budget_ms, levels=tuple(levels),
             )
-        if res.status == "budget-exhausted":
+        if budget.expired:
             break
-    exhausted = all(st in ("infeasible", "proven-absent") for _, st in levels) and len(
-        levels
-    ) == m_max
     return SearchReport(
-        None, None, exhausted, nodes, wall_budget_ms=budget_ms, levels=tuple(levels)
+        None, None, not budget.expired, nodes, wall_budget_ms=budget_ms, levels=tuple(levels)
     )
 
 
@@ -304,7 +304,9 @@ def max_unique_subset_family(
     """
     _check_mk(m, k, m_cap=5)
     group = PERMUTATIONS_ONLY if use_symmetry else None
-    members, exhausted, nodes = _search(m, k, _MODE_OWNED_SUBSET, group, None, budget_ms)
+    members, exhausted, nodes = _search(
+        m, k, _MODE_OWNED_SUBSET, group, None, _Budget(budget_ms)
+    )
     return SearchReport(
         len(members), Family(m, members), exhausted, nodes, wall_budget_ms=budget_ms
     )
@@ -315,53 +317,27 @@ def max_pair_family(m: int, k: int) -> SearchReport:
     Sperner separators of size <= k.
 
     Keys constrain nothing across groups, so the optimum decomposes as an
-    independent maximum antichain per key, each found by brute force.
+    independent maximum antichain per key.  Each runs on the search DFS with
+    one witness per member, which survives exactly when the added word is
+    incomparable with the member.
     """
     if not 1 <= k <= 2:
         raise ValueError(f"k must be 1 or 2, got {k}")
     if not 1 <= m <= 6:
         raise CapacityError(f"m must be in 1..6, got {m}")
-    total = 0
+    words = range(1 << m)
+    keep = [[int(bool(w & ~x and x & ~w)) for x in words] for w in words]
+    budget = _Budget(None)
     nodes = 0
     pairs: list[SeparatorWitness] = []
-    for key in range(1 << m):
+    for key in words:
         if key.bit_count() > k:
             continue
-        cands = [
-            S
-            for S in range(1 << m)
-            if S & key == key and S.bit_count() <= k
-        ]
-        chosen, n2 = _max_antichain(cands)
-        nodes += n2
-        total += len(chosen)
-        pairs.extend(SeparatorWitness(S, key) for S in chosen)
-    return SearchReport(
-        total, None, True, nodes, example_pairs=tuple(pairs)
-    )
-
-
-def _max_antichain(words: list[int]) -> tuple[list[int], int]:
-    words = sorted(words)
-    best: list[int] = []
-    nodes = 0
-
-    def ext(chosen: list[int], idx: int):
-        nonlocal best, nodes
-        nodes += 1
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(chosen) + (len(words) - idx) <= len(best):
-            return
-        for t in range(idx, len(words)):
-            w = words[t]
-            if all(w & ~c != 0 and c & ~w != 0 for c in chosen):
-                chosen.append(w)
-                ext(chosen, t + 1)
-                chosen.pop()
-
-    ext([], 0)
-    return best, nodes
+        dfs = _DFS(m, keep, None, None, budget)
+        dfs.run([], [], [(S, 1) for S in words if S & key == key and S.bit_count() <= k])
+        nodes += dfs.nodes
+        pairs.extend(SeparatorWitness(S, key) for S in dfs.best_members)
+    return SearchReport(len(pairs), None, True, nodes, example_pairs=tuple(pairs))
 
 
 def _check_mk(m: int, k: int, m_cap: int) -> None:

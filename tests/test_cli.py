@@ -1,6 +1,9 @@
 """Command-line surface: formats, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,7 +22,6 @@ from sepsys.cli import (
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         import io
-        import sys
 
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
@@ -127,6 +129,16 @@ def test_verify_bad_document_is_usage_error(capsys, monkeypatch):
     assert code == EXIT_USAGE and "error" in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "--property", "separating"], ["canon"]])
+def test_unreadable_input_is_usage_error(capsys, tmp_path, argv):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, [*argv, "--input", str(missing)])
+    assert code == EXIT_USAGE and out == ""
+    assert "cannot read --input" in err and "missing.json" in err
+    code, _, err = run(capsys, [*argv, "--input", str(tmp_path)])  # a directory
+    assert code == EXIT_USAGE and "cannot read --input" in err
+
+
 # --- construct ---------------------------------------------------------------
 
 
@@ -175,6 +187,8 @@ def test_construct_usage_errors(capsys):
     assert code == EXIT_USAGE and "--n is required" in err
     code, _, err = run(capsys, ["construct", "--kind", "nice-small", "--m", "9"])
     assert code == EXIT_USAGE
+    code, out, err = run(capsys, ["construct", "--kind", "hcs", "--n", "5"])
+    assert code == EXIT_USAGE and out == "" and "--k is required" in err
 
 
 # --- bounds ------------------------------------------------------------------
@@ -214,6 +228,12 @@ def test_dual_switch_canon_pipeline(capsys, monkeypatch):
         monkeypatch,
     )
     assert json.loads(out5)["sets"] == [[0]]
+
+
+def test_canon_large_ground_is_usage_error(capsys, monkeypatch):
+    doc = emit_family(new_family(40, [[0], [1, 39]]))
+    code, out, err = run(capsys, ["canon"], doc, monkeypatch)
+    assert code == EXIT_USAGE and out == "" and "cap of 8" in err
 
 
 # --- search ------------------------------------------------------------------
@@ -278,6 +298,8 @@ def test_search_budget_env(capsys, monkeypatch):
 def test_search_usage_errors(capsys):
     code, _, err = run(capsys, ["search", "--problem", "g"])
     assert code == EXIT_USAGE and "--m is required" in err
+    code, out, err = run(capsys, ["search", "--problem", "exists", "--m", "4"])
+    assert code == EXIT_USAGE and out == "" and "--n is required" in err
 
 
 # --- table -------------------------------------------------------------------
@@ -359,7 +381,53 @@ def test_search_self_check_sentinel(capsys, monkeypatch, problem, name, result):
     assert "internal error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--kind", "nice-small", "--m", "4"],
+        ["construct", "--kind", "hcs", "--n", "10", "--k", "2"],
+        ["search", "--problem", "g", "--m", "3"],
+        ["search", "--problem", "exists", "--m", "3", "--n", "6"],
+        ["search", "--problem", "min-m", "--n", "5"],
+    ],
+)
+def test_recheck_failure_is_self_check_error(capsys, monkeypatch, argv):
+    import sepsys.cli as cli
+
+    # a certificate that fails the independent recheck must never be printed
+    monkeypatch.setattr(cli.verify, "recheck_certificate", lambda f, cert: False)
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "failed its recheck" in err
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # missing required --property
     assert exc.value.code == EXIT_USAGE
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # run as a user would, so an uncaught exception shows as a traceback
+    import sepsys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sepsys.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SEPSYS_BUDGET_MS", None)
+    cases = [
+        (["construct", "--kind", "binary", "--n", "5"], "", EXIT_OK),
+        (["verify", "--property", "separating"], '{"ground_size":2,"sets":[[0,1]]}', EXIT_FAIL),
+        (["verify", "--property", "separating", "--input", str(tmp_path / "no.json")], "", EXIT_USAGE),
+        (["verify", "--property", "nice"], '{"ground_size":1,"sets":[[0]]}', EXIT_USAGE),
+        (["canon"], "{bad json", EXIT_USAGE),
+        (["search", "--problem", "exists", "--m", "4"], "", EXIT_USAGE),
+        (["verify"], "", EXIT_USAGE),
+    ]
+    for argv, stdin, want in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepsys.cli", *argv],
+            input=stdin, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == want, (argv, proc.returncode, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)

@@ -88,6 +88,14 @@ def test_k_hcs_minimal_examples():
     assert f.members == (0b01, 0b10)
 
 
+def test_subset_assignment_covers_the_ground():
+    # an uncovered ground index would leave an empty member in the dual
+    for n in range(2, 65):
+        fams = [spencer_completely_separating(n)] + [k_hcs_minimal(n, k) for k in range(1, 7)]
+        for f in fams:
+            assert all(f.members), (n, f)
+
+
 def test_nice_small_m_families():
     assert nice_small_m(1).members == (0, 1)
     assert nice_small_m(2).members == (0, 1, 2, 3)

@@ -178,6 +178,15 @@ def test_canonical_form_of_empty_family():
         assert canonical_form(f, group) == f
 
 
+def test_canonical_form_capacity_error():
+    # m! relabelings: refuse grounds above 8 instead of running for hours
+    for m in (9, 40):
+        f = new_family(m, [[0], [m - 1]])
+        for group in (PERMUTATIONS_ONLY, PERMUTATIONS_AND_SWITCHING):
+            with pytest.raises(CapacityError, match="cap of 8"):
+                canonical_form(f, group)
+
+
 @given(families(max_ground=4), st.sampled_from([PERMUTATIONS_ONLY, PERMUTATIONS_AND_SWITCHING]))
 def test_canonical_form_idempotent(f, group):
     c = canonical_form(f, group)

@@ -14,6 +14,7 @@ from sepsys import (
     k_prime,
     pair_family_valid,
 )
+from sepsys.core import bits
 from sepsys.search import (
     ExistenceResult,
     exists_nice_of_size,
@@ -197,6 +198,8 @@ def test_min_m_validates_inputs():
         min_m_hyperseparating(200, 2, 6)
     with pytest.raises(CapacityError):
         min_m_hyperseparating(8, 2, 7)
+    with pytest.raises(ValueError, match="k must be"):
+        min_m_hyperseparating(5, 0, 4)
 
 
 # --- max_unique_subset_family ------------------------------------------------
@@ -339,6 +342,21 @@ def test_max_pair_family_examples_validate():
         rep = max_pair_family(m, k)
         assert len(rep.example_pairs) == rep.best
         assert pair_family_valid(list(rep.example_pairs), m, k) is True
+
+
+def test_max_pair_family_example_pinned():
+    # per key, the first maximum antichain in word order
+    pairs = [
+        ([0], []), ([1], []), ([2], []),
+        ([0, 1], [0]), ([0, 2], [0]),
+        ([0, 1], [1]), ([1, 2], [1]),
+        ([0, 1], [0, 1]),
+        ([0, 2], [2]), ([1, 2], [2]),
+        ([0, 2], [0, 2]),
+        ([1, 2], [1, 2]),
+    ]
+    rep = max_pair_family(3, 2)
+    assert [(bits(p.separator), bits(p.key)) for p in rep.example_pairs] == pairs
 
 
 def test_max_pair_family_bound_direction():
