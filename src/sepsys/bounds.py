@@ -1,7 +1,9 @@
 """Closed-form extremal formulas and bound sandwiches.
 
-Everything is exact integer arithmetic computed by upward scan; no
-floating-point inversions anywhere, so results are reproducible bit-exactly.
+Everything is exact integer arithmetic: each least m is found by doubling
+then bisecting over a function nondecreasing in m, with no floating-point
+inversions anywhere, so results are reproducible bit-exactly and a huge n
+costs only a logarithmic number of evaluations.
 """
 
 from __future__ import annotations
@@ -33,6 +35,25 @@ def _require_n(n: int) -> None:
         raise ValueError(f"n must be >= 2, got {n}")
 
 
+def _least_m(reaches, lo: int) -> int:
+    """Smallest m >= lo with reaches(m), for a predicate that is false and
+    then true as m grows: double the step until it holds, then bisect."""
+    if reaches(lo):
+        return lo
+    below, step = lo, 1  # reaches(below) is false
+    while not reaches(below + step):
+        below += step
+        step *= 2
+    above = below + step  # reaches(above) is true
+    while above - below > 1:
+        mid = (below + above) // 2
+        if reaches(mid):
+            above = mid
+        else:
+            below = mid
+    return above
+
+
 def binom(m: int, j: int) -> int:
     """C(m, j); zero when j < 0 or j > m."""
     if m < 0:
@@ -57,16 +78,13 @@ def k_prime(m: int, k: int) -> int:
 def min_m_hcs(n: int, k: int) -> int:
     """Smallest m with C(m, k'(m, k)) >= n.
 
-    The scanned function is nondecreasing in m, so the upward scan stops at
-    the true minimum.
+    C(m, k'(m, k)) is nondecreasing in m, so the search finds the true
+    minimum.
     """
     _require_n(n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    m = 1
-    while binom(m, k_prime(m, k)) < n:
-        m += 1
-    return m
+    return _least_m(lambda m: binom(m, k_prime(m, k)) >= n, 1)
 
 
 def separating_min(n: int) -> int:
@@ -79,17 +97,7 @@ def separating_min(n: int) -> int:
 def spencer_min(n: int) -> int:
     """Smallest m whose middle binomial C(m, floor(m/2)) reaches n."""
     _require_n(n)
-    m = 1
-    while comb(m, m // 2) < n:
-        m += 1
-    return m
-
-
-def _min_m_choose2(n: int) -> int:
-    m = 2
-    while comb(m, 2) < n:
-        m += 1
-    return m
+    return _least_m(lambda m: comb(m, m // 2) >= n, 1)
 
 
 def f2_exact(n: int) -> int:
@@ -98,7 +106,7 @@ def f2_exact(n: int) -> int:
     _require_n(n)
     if n <= 10:  # both branches give 5 at n = 10
         return (n + 1) // 2
-    return _min_m_choose2(n)
+    return _least_m(lambda m: comb(m, 2) >= n, 2)
 
 
 def f_bounds(n: int, k: int) -> BoundPair:
@@ -115,10 +123,9 @@ def f_bounds(n: int, k: int) -> BoundPair:
         raise ValueError(f"k must be >= 1, got {k}")
     upper = min_m_hcs(n, k)
     floor_sep = separating_min(n)
-    if n > binom(2 * k - 1, k):
-        m = 1
-        while (1 << k) * binom(m, k) < n:
-            m += 1
+    # n > C(2k-1, k), the middle binomial of 2k-1, without building it for a huge k
+    if spencer_min(n) > 2 * k - 1:
+        m = _least_m(lambda m: (1 << k) * binom(m, k) >= n, 1)
         if m < floor_sep:
             pair = BoundPair(floor_sep, upper, PAIR_FAMILY, lower_clamped=True)
         else:

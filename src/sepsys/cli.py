@@ -328,16 +328,21 @@ def cmd_search(args) -> int:
         print(emit_family(rep.example, args.format, role="primal"))
     elif problem == "unique-subset":
         rep = search.max_unique_subset_family(args.m, k, budget, use_symmetry=sym)
+        if not verify.owns_unique_subsets(rep.example, k):
+            raise SelfCheckError("unique-subset example failed its recheck")
         print(f"max-unique-subset({args.m},{k}) = {rep.best} ({_status(rep.exhausted)})")
         print(f"nodes: {rep.nodes_visited}")
         print(emit_family(rep.example, args.format))
     else:  # pair-family
         rep = search.max_pair_family(args.m, k)
+        pairs = rep.example_pairs
+        if len(pairs) != rep.best or verify.pair_family_valid(pairs, args.m, k) is not True:
+            raise SelfCheckError("pair family failed its recheck")
         print(f"max-pair-family({args.m},{k}) = {rep.best} ({_status(rep.exhausted)})")
         print(f"nodes: {rep.nodes_visited}")
         doc = [
             {"separator": bits(w.separator), "key": bits(w.key)}
-            for w in rep.example_pairs
+            for w in pairs
         ]
         print(json.dumps({"pairs": doc}, separators=(",", ":")))
     return EXIT_OK

@@ -9,7 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Family, dual, family_from_words, is_proper, is_sperner, new_family, switch_set
+from .core import (
+    Family,
+    _check_ground,
+    dual,
+    family_from_words,
+    is_proper,
+    is_sperner,
+    new_family,
+    switch_set,
+)
 from .verify import is_nice, words_of_size
 from .bounds import binom, k_prime, min_m_hcs, spencer_min
 
@@ -42,6 +51,7 @@ def binary_separating(n: int) -> Family:
     elements whose i-th bit is one.  ceil(log2 n) members."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_ground(n)
     t = (n - 1).bit_length()
     words = []
     for i in range(t):
@@ -70,6 +80,7 @@ def _subset_assignment(m: int, j: int, n: int) -> list[tuple[int, ...]]:
 
 
 def _dual_of_assigned_subsets(n: int, m: int, j: int) -> Family:
+    _check_ground(n)  # before building n subsets that could not fit
     subs = _subset_assignment(m, j, n)
     words = []
     for i in range(m):

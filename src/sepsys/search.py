@@ -4,14 +4,18 @@ The searches re-derive the small-case extremal values independently of the
 closed-form formulas.  Families are built as strictly increasing sequences
 of member words, which kills member-permutation duplicates for free; on top
 of that, prefixes of length <= 2 are required to be canonical under the
-applicable symmetry group.  Rejecting non-canonical prefixes is sound
-because the lexicographically least representative of any orbit has only
-canonical prefixes (inserting the image of a removed member into a smaller
-sorted list keeps it smaller).
+applicable symmetry group (a closed-form test, see _is_canonical_prefix).
+Rejecting non-canonical prefixes is sound because the lexicographically
+least representative of any orbit has only canonical prefixes (inserting
+the image of a removed member into a smaller sorted list keeps it smaller).
 
-Feasibility is tracked incrementally: adding a member can only invalidate
-witnesses of existing members, so each node carries per-member masks of
-surviving witness sets, and a branch dies as soon as some mask empties.
+Feasibility is forward-checked (Haralick & Elliott 1980): each node carries
+per-member masks of surviving witness sets, and its candidate list holds
+only words that can still be added, i.e. words that keep a witness of their
+own and leave every member one.  Masks only shrink as members are added, so
+a word that fails this test fails it in every descendant; it is dropped when
+the child's list is built, and the cardinality bound ``size + candidates``
+counts only addable words.
 
 Reports are deterministic: one DFS walks the whole tree with a best size
 shared by every branch, and cuts a branch only when it cannot beat that
@@ -30,11 +34,10 @@ from .core import (
     PERMUTATIONS_AND_SWITCHING,
     PERMUTATIONS_ONLY,
     SeparatorWitness,
-    canonical_form,
     dual,
 )
 
-SYMMETRY_DEPTH = 2
+SYMMETRY_DEPTH = 2  # at most 2: _is_canonical_prefix is a closed form for 1 and 2 words
 
 _MODE_SEPARATOR = "separator"  # witness survives members it intersects the difference of
 _MODE_OWNED_SUBSET = "owned-subset"  # witness must avoid being a subset of others
@@ -104,9 +107,31 @@ def _witness_tables(m: int, k: int, mode: str):
     return keep, init
 
 
-@lru_cache(maxsize=None)
-def _is_canonical_prefix(m: int, words: tuple[int, ...], group: str) -> bool:
-    return canonical_form(Family(m, words), group).members == words
+def _low(p: int) -> int:
+    """The least word with p bits."""
+    return (1 << p) - 1
+
+
+def _is_canonical_prefix(words: tuple[int, ...], group: str) -> bool:
+    """Whether an increasing prefix equals its ``canonical_form`` under group.
+
+    A closed form that holds only for prefixes of one or two words, which is
+    all SYMMETRY_DEPTH = 2 asks for.  Under switching, the switch by the first
+    word a maps (a, b) to (0, a ^ b), and a relabeling packs a ^ b into the low
+    bits.  Under relabelings alone, the member with fewer bits goes to the
+    low bits, then the shared bits a & b to the bottom of it and b's other
+    bits just above it.
+    """
+    a = words[0]
+    if group == PERMUTATIONS_AND_SWITCHING:
+        return a == 0 and (len(words) == 1 or words[1] == _low(words[1].bit_count()))
+    p = a.bit_count()
+    if a != _low(p):
+        return False
+    if len(words) == 1:
+        return True
+    b = words[1]
+    return b.bit_count() >= p and b == _low((b & ~a).bit_count()) << p | _low((a & b).bit_count())
 
 
 class _Budget:
@@ -131,12 +156,11 @@ class _DFS:
     """
 
     __slots__ = (
-        "m", "keep", "group", "sym_depth", "target", "budget",
+        "keep", "group", "sym_depth", "target", "budget",
         "best", "best_members", "nodes", "found",
     )
 
-    def __init__(self, m, keep, group, target, budget):
-        self.m = m
+    def __init__(self, keep, group, target, budget):
         self.keep = keep
         self.group = group
         self.sym_depth = 0 if group is None else SYMMETRY_DEPTH
@@ -150,7 +174,8 @@ class _DFS:
     def run(self, members, survs, cands):
         """Visit the family ``members``: ``survs[i]`` is the mask of member
         i's surviving witnesses, ``cands`` the (word, witness mask) pairs
-        that may still be added."""
+        that can be added: each keeps a witness of its own and leaves every
+        member one."""
         self.nodes += 1
         # the budget is checked on the first node, then on every 1024th
         if self.budget.expired or (self.nodes & 1023 == 1 and self.budget.check()):
@@ -171,23 +196,35 @@ class _DFS:
         keep = self.keep
         check_prefix = s < self.sym_depth
         for idx, (w, alive) in enumerate(cands):
+            if check_prefix and not _is_canonical_prefix((*members, w), self.group):
+                continue
             kw = keep[w]
+            # A later word stays a candidate only if it keeps a witness of its
+            # own and leaves one to w and to every member whose mask just
+            # shrank; it left one to the other members when ``cands`` was built.
             new_survs = []
+            shrunk = [(w, alive)]
             for x, sv in zip(members, survs):
                 ns = sv & kw[x]
-                if not ns:
-                    break
                 new_survs.append(ns)
-            else:  # every member keeps a witness
-                if check_prefix and not _is_canonical_prefix(self.m, (*members, w), self.group):
-                    continue
-                new_survs.append(alive)
-                child = [(w2, a) for w2, a2 in cands[idx + 1:] if (a := a2 & kw[w2])]
-                members.append(w)
-                self.run(members, new_survs, child)
-                members.pop()
-                if self.budget.expired or self.found is not None:
-                    return
+                if ns != sv:
+                    shrunk.append((x, ns))
+            child = []
+            for w2, a2 in cands[idx + 1:]:
+                a = a2 & kw[w2]
+                if a:
+                    k2 = keep[w2]
+                    for x, ns in shrunk:
+                        if not ns & k2[x]:
+                            break
+                    else:
+                        child.append((w2, a))
+            new_survs.append(alive)
+            members.append(w)
+            self.run(members, new_survs, child)
+            members.pop()
+            if self.budget.expired or self.found is not None:
+                return
 
 
 def _search(m, k, mode, group, target, budget):
@@ -198,7 +235,7 @@ def _search(m, k, mode, group, target, budget):
     family of that size, None if there is none.
     """
     keep, init = _witness_tables(m, k, mode)
-    dfs = _DFS(m, keep, group, target, budget)
+    dfs = _DFS(keep, group, target, budget)
     dfs.run([], [], [(w, init[w]) for w in range(1 << m) if init[w]])
     members = dfs.best_members if target is None else dfs.found
     return members, not budget.expired, dfs.nodes
@@ -333,7 +370,7 @@ def max_pair_family(m: int, k: int) -> SearchReport:
     for key in words:
         if key.bit_count() > k:
             continue
-        dfs = _DFS(m, keep, None, None, budget)
+        dfs = _DFS(keep, None, None, budget)
         dfs.run([], [], [(S, 1) for S in words if S & key == key and S.bit_count() <= k])
         nodes += dfs.nodes
         pairs.extend(SeparatorWitness(S, key) for S in dfs.best_members)

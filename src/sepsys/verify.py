@@ -176,6 +176,23 @@ def is_nice(d: Family, k: int) -> Certificate:
     return Certificate(NICE, True, k=k, witnesses=tuple(wits))
 
 
+def owns_unique_subsets(d: Family, k: int) -> bool:
+    """True iff every member contains a set of at most k elements that no
+    other member contains.  Duplicate members fail: every subset of one
+    copy lies in the other."""
+    _require_k(k)
+    ws = d.members
+    for i, wi in enumerate(ws):
+        others = ws[:i] + ws[i + 1:]
+        if not any(
+            S & ~wi == 0 and all(S & ~w for w in others)
+            for size in range(k + 1)
+            for S in words_of_size(d.ground_size, size)
+        ):
+            return False
+    return True
+
+
 def is_k_hyperseparating(f: Family, k: int) -> Certificate:
     """Every element is pinned down by its pattern on some <= k members.
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -191,6 +192,14 @@ def test_construct_usage_errors(capsys):
     assert code == EXIT_USAGE and out == "" and "--k is required" in err
 
 
+def test_construct_oversized_ground_fails_fast(capsys):
+    # the capacity check comes before any subset of the 100 000 is built
+    t0 = time.monotonic()
+    code, out, err = run(capsys, ["construct", "--kind", "hcs", "--n", "100000", "--k", "2"])
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_USAGE and out == "" and "capacity" in err
+
+
 # --- bounds ------------------------------------------------------------------
 
 
@@ -204,6 +213,24 @@ def test_bounds_clamped_tag(capsys):
     code, out, _ = run(capsys, ["bounds", "--n", "9", "--k", "2"])
     assert code == EXIT_OK
     assert "clamped" in out
+
+
+@pytest.mark.parametrize(
+    "n, k, want",
+    [
+        ("1" + "0" * 24, "2", "707106781188 ≤ f(1000000000000000000000000,2) ≤ 1414213562374"
+         " [pair-family]"),
+        ("10", "1000000", "4 ≤ f(10,1000000) ≤ 5 [info-theoretic]"),
+    ],
+)
+def test_bounds_huge_input_returns_promptly(n, k, want):
+    # in a subprocess, so that a hang is cut by the timeout instead of the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepsys.cli", "bounds", "--n", n, "--k", k],
+        capture_output=True, text=True, env=_cli_env(), timeout=5,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.strip() == want
 
 
 # --- dual / switch / canon ---------------------------------------------------
@@ -389,13 +416,18 @@ def test_search_self_check_sentinel(capsys, monkeypatch, problem, name, result):
         ["search", "--problem", "g", "--m", "3"],
         ["search", "--problem", "exists", "--m", "3", "--n", "6"],
         ["search", "--problem", "min-m", "--n", "5"],
+        ["search", "--problem", "unique-subset", "--m", "3"],
+        ["search", "--problem", "pair-family", "--m", "3"],
     ],
 )
 def test_recheck_failure_is_self_check_error(capsys, monkeypatch, argv):
     import sepsys.cli as cli
 
-    # a certificate that fails the independent recheck must never be printed
-    monkeypatch.setattr(cli.verify, "recheck_certificate", lambda f, cert: False)
+    # a result that fails its independent recheck must never be printed;
+    # unique-subset and pair-family results carry no certificate, so their
+    # recheck is their own predicate
+    check = {"unique-subset": "owns_unique_subsets", "pair-family": "pair_family_valid"}
+    monkeypatch.setattr(cli.verify, check.get(argv[2], "recheck_certificate"), lambda *a: False)
     code, out, err = run(capsys, argv)
     assert code == 3
     assert out == ""
@@ -408,13 +440,18 @@ def test_argparse_usage_exit_code():
     assert exc.value.code == EXIT_USAGE
 
 
-def test_module_entry_point_exit_codes(tmp_path):
-    # run as a user would, so an uncaught exception shows as a traceback
+def _cli_env():
     import sepsys
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sepsys.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("SEPSYS_BUDGET_MS", None)
+    return env
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # run as a user would, so an uncaught exception shows as a traceback
+    env = _cli_env()
     cases = [
         (["construct", "--kind", "binary", "--n", "5"], "", EXIT_OK),
         (["verify", "--property", "separating"], '{"ground_size":2,"sets":[[0,1]]}', EXIT_FAIL),

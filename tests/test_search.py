@@ -14,9 +14,16 @@ from sepsys import (
     k_prime,
     pair_family_valid,
 )
-from sepsys.core import bits
+from sepsys.core import (
+    PERMUTATIONS_AND_SWITCHING,
+    PERMUTATIONS_ONLY,
+    Family,
+    bits,
+    canonical_form,
+)
 from sepsys.search import (
     ExistenceResult,
+    _is_canonical_prefix,
     exists_nice_of_size,
     max_nice_size,
     max_pair_family,
@@ -157,6 +164,19 @@ def test_exists_nice_examples():
     assert res.status == "proven-absent" and res.nodes_visited == 0
 
 
+def test_exists_nice_matches_naive_small():
+    for m in range(0, 4):
+        for k in (1, 2, 3):
+            g = _naive_g(m, k)
+            for n in range(0, (1 << m) + 2):
+                res = exists_nice_of_size(m, k, n)
+                assert res.exhausted, (m, k, n)
+                assert (res.family is not None) == (n <= g), (m, k, n)
+                if res.family is not None:
+                    assert len(set(res.family.members)) == n
+                    assert is_nice(res.family, k), (m, k, n)
+
+
 def test_exists_nice_budget_status():
     res = exists_nice_of_size(5, 2, 11, budget_ms=0)
     assert res.status == "budget-exhausted"
@@ -261,6 +281,10 @@ PINNED_REPORTS = {
         lambda: max_unique_subset_family(5, 2),
         (10, (3, 5, 6, 9, 10, 12, 17, 18, 20, 24), True),
     ),
+    "g(5,3)": (
+        lambda: max_nice_size(5, 3),
+        (20, (0, 1, 2, 4, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 27, 29, 30, 31), True),
+    ),
     "g(6,1)": (
         lambda: max_nice_size(6, 1),
         (6, (0, 3, 5, 9, 17, 33), True),
@@ -281,6 +305,40 @@ def test_search_reports_pinned(name):
     else:
         head, fam = rep.best, rep.example
     assert (head, None if fam is None else fam.members, rep.exhausted) == want
+
+
+# Nodes the DFS visits.  Sharper pruning may lower these, never raise them.
+PINNED_NODES = {
+    "g(5,2)": (lambda: max_nice_size(5, 2), 20825),
+    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 20799),
+    "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 326),
+    "g(6,1)": (lambda: max_nice_size(6, 1), 541),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_NODES)
+def test_dfs_node_counts_pinned(name):
+    run, want = PINNED_NODES[name]
+    assert run().nodes_visited == want
+
+
+def test_canonical_prefix_closed_form_matches_canonical_form():
+    # Every 1- and 2-word increasing prefix for m <= 5.  At m = 6 a
+    # canonical_form call costs milliseconds, so there the comparison covers
+    # the prefixes the DFS asks about: single words, and pairs whose first
+    # word is canonical (a canonical pair always starts with one, as m <= 5
+    # confirms).
+    for group in (PERMUTATIONS_ONLY, PERMUTATIONS_AND_SWITCHING):
+        for m in range(0, 7):
+            for a in range(1 << m):
+                first = _is_canonical_prefix((a,), group)
+                assert first == (canonical_form(Family(m, (a,)), group).members == (a,))
+                if m == 6 and not first:
+                    continue
+                for b in range(a + 1, 1 << m):
+                    ws = (a, b)
+                    want = canonical_form(Family(m, ws), group).members == ws
+                    assert _is_canonical_prefix(ws, group) == want, (m, group, ws)
 
 
 # --- max_pair_family ---------------------------------------------------------

@@ -22,6 +22,7 @@ from sepsys import (
     k_hcs_minimal,
     new_family,
     nice_small_m,
+    owns_unique_subsets,
     pair_family_valid,
     recheck_certificate,
     spencer_completely_separating,
@@ -218,6 +219,30 @@ def test_hyperseparating_capacity_error_via_dual():
         is_k_hyperseparating(f, 2)
     # is_separating has no capacity cap: signatures are plain integers
     assert is_separating(f)  # one element in every member, the other in none
+
+
+# --- owns_unique_subsets -----------------------------------------------------
+
+
+def test_owns_unique_subsets_matches_definition():
+    def owns(sets, i, k):
+        return any(
+            all(not set(s) <= o for j, o in enumerate(sets) if j != i)
+            for size in range(k + 1)
+            for s in combinations(sorted(sets[i]), size)
+        )
+
+    for m in range(0, 4):
+        for f in all_families(m, 4, with_duplicates=True):
+            sets = [{t for t in range(m) if w >> t & 1} for w in f.members]
+            for k in (1, 2, 3):
+                want = all(owns(sets, i, k) for i in range(len(sets)))
+                assert owns_unique_subsets(f, k) == want, (f, k)
+    # every 2-subset of a 5-ground owns itself; a duplicated member owns nothing
+    assert owns_unique_subsets(all_two_subsets(5), 2)
+    assert not owns_unique_subsets(Family(3, (3, 3)), 2)
+    with pytest.raises(ValueError):
+        owns_unique_subsets(Family(2, (1,)), 0)
 
 
 # --- pair_family_valid -------------------------------------------------------
