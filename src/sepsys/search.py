@@ -17,6 +17,11 @@ a word that fails this test fails it in every descendant; it is dropped when
 the child's list is built, and the cardinality bound ``size + candidates``
 counts only addable words.
 
+The bound is tested in the parent's candidate loop, before a child is
+expanded (Carraghan & Pardalos 1990): a child that cannot beat the best
+(or reach the target) is never built, and building stops as soon as
+enough later words have been dropped to make it hopeless.
+
 Reports are deterministic: one DFS walks the whole tree with a best size
 shared by every branch, and cuts a branch only when it cannot beat that
 best strictly, so the example reported is the first optimum in DFS order.
@@ -175,7 +180,11 @@ class _DFS:
         """Visit the family ``members``: ``survs[i]`` is the mask of member
         i's surviving witnesses, ``cands`` the (word, witness mask) pairs
         that can be added: each keeps a witness of its own and leaves every
-        member one."""
+        member one.
+
+        The cardinality bound is tested here only for the children, in the
+        candidate loop, so every visited node can beat the best (or reach
+        the target) by its own size and candidates."""
         self.nodes += 1
         # the budget is checked on the first node, then on every 1024th
         if self.budget.expired or (self.nodes & 1023 == 1 and self.budget.check()):
@@ -185,17 +194,22 @@ class _DFS:
             self.best = s
             self.best_members = tuple(members)
         target = self.target
-        if target is not None:
-            if s >= target:
-                self.found = tuple(members)
-                return
-            if s + len(cands) < target:
-                return
-        elif s + len(cands) <= self.best:
+        if target is not None and s >= target:
+            self.found = tuple(members)
             return
         keep = self.keep
         check_prefix = s < self.sym_depth
+        last = len(cands) - 1
         for idx, (w, alive) in enumerate(cands):
+            # Child idx holds at most the last - idx later words and needs
+            # ``need`` of them to beat the best (or to reach the target).
+            # ``slack`` is how many it may still lose; best only grows and
+            # later children have fewer words, so once it is negative no
+            # later child can do better either.
+            need = self.best - s if target is None else target - s - 1
+            slack = last - idx - need
+            if slack < 0:
+                return
             if check_prefix and not _is_canonical_prefix((*members, w), self.group):
                 continue
             kw = keep[w]
@@ -219,6 +233,12 @@ class _DFS:
                             break
                     else:
                         child.append((w2, a))
+                        continue
+                slack -= 1
+                if slack < 0:
+                    break
+            if slack < 0:
+                continue
             new_survs.append(alive)
             members.append(w)
             self.run(members, new_survs, child)

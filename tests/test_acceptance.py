@@ -41,6 +41,7 @@ from sepsys import (
 from sepsys.construct import CASE_NO_REDUCTION
 from sepsys.core import word_of
 from sepsys.search import (
+    exists_nice_of_size,
     max_nice_size,
     max_pair_family,
     max_unique_subset_family,
@@ -71,7 +72,7 @@ def test_criterion_1_g_table(g5_report, g5_seconds):
             assert is_nice(rep.example, 2) and len(rep.example) == expected
         small_elapsed = time.time() - t0
         assert small_elapsed < 1.0, f"m <= 4 took {small_elapsed:.2f}s"
-        assert g5_seconds < 600, f"m = 5 took {g5_seconds:.0f}s"
+        assert g5_seconds < 60, f"m = 5 took {g5_seconds:.0f}s"
         assert g5_report.exhausted
         assert g5_report.best == 10, g5_report.best
         assert is_nice(g5_report.example, 2) and len(g5_report.example) == 10
@@ -249,3 +250,19 @@ def test_criterion_7_property_suites():
             d = Family(5, tuple(sorted(rng.sample(range(32), rng.randint(0, 10)))))
             v = rng.randrange(5)
             assert bool(is_nice(switch(d, v), 2)) == bool(is_nice(d, 2)), (d, v)
+
+
+def test_criterion_8_g6_exhaustive():
+    with criterion(8, "g(6,2) = 15 exhausted and no nice family of 16 at m = 6, each < 10 s"):
+        t0 = time.time()
+        rep = max_nice_size(6, 2)
+        g6_seconds = time.time() - t0
+        assert rep.exhausted and rep.best == 15, rep.best
+        assert rep.example.members == (0, 3, 5, 9, 17, 34, 36, 39, 40, 43, 45, 48, 51, 53, 57)
+        assert is_nice(rep.example, 2)
+        assert g6_seconds < 10, f"g(6,2) took {g6_seconds:.1f}s"
+        t0 = time.time()
+        res = exists_nice_of_size(6, 2, 16)
+        absent_seconds = time.time() - t0
+        assert res.status == "proven-absent", res.status
+        assert absent_seconds < 10, f"exists(6,2,16) took {absent_seconds:.1f}s"

@@ -359,6 +359,45 @@ def test_table_caps(capsys):
     assert code == EXIT_USAGE
 
 
+def test_table_search_reaches_the_m6_cap(capsys):
+    # n = 11, 12 lie above g(5,2) = 10, so one m = 6 existence search settles them
+    code, out, _ = run(capsys, ["table", "--n-max", "12", "--check-search-up-to", "12"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert all(ln.endswith("✓") for ln in lines)
+    assert [ln.split()[-2] for ln in lines[-2:]] == ["search:6", "search:6"]
+
+
+def test_table_expired_budget_is_not_a_pass(capsys):
+    code, out, _ = run(
+        capsys, ["table", "--n-max", "6", "--check-search-up-to", "6", "--budget-ms", "0"]
+    )
+    assert code == EXIT_FAIL
+    assert all(ln.endswith("search:None ✗") for ln in out.splitlines())
+
+
+def test_table_partial_level_settles_only_what_it_found(capsys, monkeypatch):
+    import dataclasses
+
+    import sepsys.cli as cli
+
+    # m = 3 "expires" after a nice family of 5 (g(3,2) = 6): n = 5 is still
+    # settled at 3, but no n above it is settled by a later level
+    real = cli.search.max_nice_size
+
+    def expiring(m, k, budget_ms=None):
+        rep = real(m, k, budget_ms)
+        return dataclasses.replace(rep, best=5, exhausted=False) if m == 3 else rep
+
+    monkeypatch.setattr(cli.search, "max_nice_size", expiring)
+    code, out, _ = run(capsys, ["table", "--n-max", "8", "--check-search-up-to", "8"])
+    assert code == EXIT_FAIL
+    assert [ln.split()[-2] for ln in out.splitlines()] == [
+        "search:1", "search:2", "search:2", "search:3",
+        "search:None", "search:None", "search:None",
+    ]
+
+
 def test_table_mismatch_exits_nonzero(capsys, monkeypatch):
     import sepsys.cli as cli
 

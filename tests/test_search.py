@@ -20,6 +20,8 @@ from sepsys.core import (
     Family,
     bits,
     canonical_form,
+    relabel,
+    switch_set,
 )
 from sepsys.search import (
     ExistenceResult,
@@ -293,6 +295,22 @@ PINNED_REPORTS = {
         lambda: exists_nice_of_size(6, 2, 12),
         ("found", (0, 1, 2, 5, 10, 21, 42, 53, 58, 61, 62, 63), True),
     ),
+    # (separator, key) words, key by key
+    "pair-family(6,2)": (
+        lambda: max_pair_family(6, 2),
+        (60, (
+            (3, 0), (5, 0), (6, 0), (9, 0), (10, 0), (12, 0), (17, 0), (18, 0),
+            (20, 0), (24, 0), (33, 0), (34, 0), (36, 0), (40, 0), (48, 0),
+            (3, 1), (5, 1), (9, 1), (17, 1), (33, 1),
+            (3, 2), (6, 2), (10, 2), (18, 2), (34, 2), (3, 3),
+            (5, 4), (6, 4), (12, 4), (20, 4), (36, 4), (5, 5), (6, 6),
+            (9, 8), (10, 8), (12, 8), (24, 8), (40, 8), (9, 9), (10, 10), (12, 12),
+            (17, 16), (18, 16), (20, 16), (24, 16), (48, 16),
+            (17, 17), (18, 18), (20, 20), (24, 24),
+            (33, 32), (34, 32), (36, 32), (40, 32), (48, 32),
+            (33, 33), (34, 34), (36, 36), (40, 40), (48, 48),
+        ), True),
+    ),
 }
 
 
@@ -304,15 +322,18 @@ def test_search_reports_pinned(name):
         head, fam = rep.status, rep.family
     else:
         head, fam = rep.best, rep.example
-    assert (head, None if fam is None else fam.members, rep.exhausted) == want
+    members = None if fam is None else fam.members
+    if getattr(rep, "example_pairs", None) is not None:
+        members = tuple((p.separator, p.key) for p in rep.example_pairs)
+    assert (head, members, rep.exhausted) == want
 
 
 # Nodes the DFS visits.  Sharper pruning may lower these, never raise them.
 PINNED_NODES = {
-    "g(5,2)": (lambda: max_nice_size(5, 2), 20825),
-    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 20799),
-    "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 326),
-    "g(6,1)": (lambda: max_nice_size(6, 1), 541),
+    "g(5,2)": (lambda: max_nice_size(5, 2), 2658),
+    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 2644),
+    "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 53),
+    "g(6,1)": (lambda: max_nice_size(6, 1), 69),
 }
 
 
@@ -339,6 +360,61 @@ def test_canonical_prefix_closed_form_matches_canonical_form():
                     ws = (a, b)
                     want = canonical_form(Family(m, ws), group).members == ws
                     assert _is_canonical_prefix(ws, group) == want, (m, group, ws)
+
+
+def _order_first(m, *parts):
+    """The ground permutation that sends the elements of parts[0] to the
+    lowest positions, those of parts[1] to the next ones, and so on, then
+    the rest; perm[i] is where element i goes."""
+    rest = (1 << m) - 1
+    for part in parts:
+        rest &= ~part
+    perm = {}
+    for part in (*parts, rest):
+        for i in bits(part):
+            perm[i] = len(perm)
+    return [perm[i] for i in range(m)]
+
+
+def _kept_images(m, group, element):
+    """Map every root of one or two words through ``element(root)``, a group
+    element applied with core operations; check that each image is a root
+    the DFS keeps and that every kept root is hit.  Returns the images."""
+    roots = set(combinations(range(1 << m), 1)) | set(combinations(range(1 << m), 2))
+    images = set()
+    for root in roots:
+        image = tuple(sorted(element(Family(m, root)).members))
+        assert _is_canonical_prefix(image, group), (m, group, root, image)
+        images.add(image)
+    assert images == {r for r in roots if _is_canonical_prefix(r, group)}, (m, group)
+    return images
+
+
+def test_every_root_maps_onto_a_kept_root_under_switching():
+    # Checks the symmetry pruning without rerunning any tree: an explicit
+    # group element maps each unreduced root onto one the DFS keeps, so no
+    # orbit is lost.  Switching by a sends (a, b) to (0, a ^ b), and the
+    # relabeling packs a ^ b into the low bits.
+    def element(f):
+        a, b = f.members[0], f.members[-1]
+        return relabel(switch_set(f, a), _order_first(f.ground_size, a ^ b))
+
+    for m in range(0, 7):
+        images = _kept_images(m, PERMUTATIONS_AND_SWITCHING, element)
+    assert len([r for r in images if len(r) == 2]) == 6  # 2016 pairs at m = 6
+
+
+def test_every_root_maps_onto_a_kept_root_under_permutations():
+    # The owned-subset group has relabelings only.  The member x with fewer
+    # bits goes to the low bits, the bits it shares first; the other
+    # member's own bits go just above it.
+    def element(f):
+        x, *other = sorted(f.members, key=int.bit_count)
+        y = other[0] if other else x
+        return relabel(f, _order_first(f.ground_size, x & y, x & ~y, y & ~x))
+
+    for m in range(0, 6):
+        _kept_images(m, PERMUTATIONS_ONLY, element)
 
 
 # --- max_pair_family ---------------------------------------------------------
