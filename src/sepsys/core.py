@@ -9,10 +9,11 @@ and makes exhaustive search affordable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
 
 MAX_GROUND = 64
-CANONICAL_MAX_GROUND = 8  # canonical_form tries all m! relabelings
+_INF = float("inf")
+CANONICAL_MAX_GROUND = 8  # canonical_form can still branch on up to m! relabelings
 
 PERMUTATIONS_ONLY = "permutations"
 PERMUTATIONS_AND_SWITCHING = "permutations+switching"
@@ -184,14 +185,88 @@ def _permute_word(w: int, perm) -> int:
     return out
 
 
+def _least_image(words: tuple[int, ...], m: int, switching: bool, bound=None):
+    """The least sorted image of the sorted tuple ``words`` on m columns (see
+    canonical_form).  With a ``bound``, an image of ``words``, it returns
+    ``bound`` if no image lies below it, and otherwise stops at the first
+    image prefix that does and returns it."""
+    best = (_INF,) if bound is None else bound  # above every image
+
+    def descend(rows, cells, img):
+        # ``cells`` holds (columns, lowest position, size), lowest first, and
+        # ``img`` the chosen rows' images.  True stops the whole search.
+        nonlocal best
+        images = []
+        for r in rows:
+            v = 0
+            cut = False
+            for c, pos, size in cells:
+                n = (r & c).bit_count()
+                v |= ((1 << n) - 1) << pos
+                cut = cut or 0 < n < size
+            images.append((v, cut, r))
+        split = [v for v, cut, _ in images if cut]
+        least = min(split) if split else _INF
+        img += tuple(sorted(v for v, _, _ in images if v < least)) + (least,) * bool(split)
+        head = best[: len(img)]
+        if img > head:
+            return False
+        if img < head and bound is not None:
+            best = img
+            return True
+        if not split:
+            best = min(best, img)
+            return False
+        rest = [r for v, _, r in images if v >= least]
+        tried = []
+        for r in dict.fromkeys(r for v, _, r in images if v == least):
+            if any(_swaps(t, r, cells, rows) for t in tried):
+                continue
+            tried.append(r)
+            refined = []
+            for c, pos, size in cells:
+                a = r & c
+                n = a.bit_count()
+                refined += [(a, pos, n), (c ^ a, pos + n, size - n)] if 0 < n < size else [(c, pos, size)]
+            i = rest.index(r)
+            if descend((*rest[:i], *rest[i + 1:]), refined, img):
+                return True
+        return False
+
+    cells = [((1 << m) - 1, 0, m)] if m else []
+    masks = words if switching and words else (0,)
+    for rows in dict.fromkeys(tuple(sorted(x ^ mask for x in words)) for mask in masks):
+        if descend(rows, cells, ()):
+            break
+    return best
+
+
+def _swaps(t: int, r: int, cells, rows) -> bool:
+    """Whether a swap of two columns in one cell maps t to r and rows to rows."""
+    d = t ^ r
+    if d.bit_count() != 2 or not any(d & c == d for c, _, _ in cells):
+        return False
+    return tuple(sorted(x ^ d if x & d not in (0, d) else x for x in rows)) == rows
+
+
 def canonical_form(f: Family, group: str = PERMUTATIONS_ONLY) -> Family:
     """Lexicographically least sorted member list over the orbit of f.
 
     The orbit ranges over all ground relabelings, plus every switch-subset
     when group is PERMUTATIONS_AND_SWITCHING.  Two families have equal
-    canonical forms iff one group element maps one to the other.  Cost is
-    m! (times the member count for the switching group), so grounds above
-    CANONICAL_MAX_GROUND raise CapacityError.
+    canonical forms iff one group element maps one to the other.
+
+    The image is chosen row by row, least first.  The columns stay in an
+    ordered partition into cells (blocks of positions, lowest first), each
+    held wholly or not at all by every chosen row.  A row's least image puts
+    its bits at the bottom of each cell, and the relabelings that give it
+    that image are exactly those that split each cell into (in-row, below)
+    and (out-of-row, above).  So the next row's least image is the least of
+    these; choosing it refines the cells.  Ties are branched on, except for
+    a row that a transposition within one cell maps from a tried one while
+    it fixes the remaining rows.  Rows that split no cell keep their images
+    and are taken at once.  Under switching the least image holds the empty
+    set, so each member is tried as the switch mask.
     """
     if group not in (PERMUTATIONS_ONLY, PERMUTATIONS_AND_SWITCHING):
         raise ValueError(f"unknown symmetry group {group!r}")
@@ -200,24 +275,14 @@ def canonical_form(f: Family, group: str = PERMUTATIONS_ONLY) -> Family:
             f"canonical form of a {f.ground_size}-element ground exceeds the cap of"
             f" {CANONICAL_MAX_GROUND}"
         )
-    if not f.members:
-        return Family(f.ground_size, ())
-    best = None
     switching = group == PERMUTATIONS_AND_SWITCHING
-    for perm in permutations(range(f.ground_size)):
-        imgs = [_permute_word(w, perm) for w in f.members]
-        if switching:
-            # The minimum starts with the empty set, and only switch masks
-            # equal to a permuted member can put the empty set in the image.
-            for mask in set(imgs):
-                cand = tuple(sorted(x ^ mask for x in imgs))
-                if best is None or cand < best:
-                    best = cand
-        else:
-            cand = tuple(sorted(imgs))
-            if best is None or cand < best:
-                best = cand
-    return Family(f.ground_size, best)
+    return Family(f.ground_size, _least_image(tuple(sorted(f.members)), f.ground_size, switching))
+
+
+@lru_cache(maxsize=1 << 15)
+def is_canonical(words: tuple[int, ...], m: int, group: str) -> bool:
+    """Whether no element of group maps the increasing ``words`` below them."""
+    return _least_image(words, m, group == PERMUTATIONS_AND_SWITCHING, words) == words
 
 
 def is_sperner(f: Family) -> bool:

@@ -263,6 +263,26 @@ def test_canon_large_ground_is_usage_error(capsys, monkeypatch):
     assert code == EXIT_USAGE and out == "" and "cap of 8" in err
 
 
+@pytest.mark.parametrize(
+    "words, want",
+    [(range(0, 256, 8), list(range(32))), (range(256), list(range(256)))],
+    ids=["cube-high-bits", "all-words"],
+)
+def test_canon_ground_8_returns_promptly(words, want):
+    # at the cap, in a subprocess so that a slow canonical form is cut by the
+    # timeout instead of stalling the suite
+    doc = emit_family(Family(8, tuple(words)))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepsys.cli", "canon", "--group", "perm+switch"],
+        input=doc, capture_output=True, text=True, env=_cli_env(), timeout=10,
+    )
+    seconds = time.monotonic() - t0
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert parse_family(proc.stdout).members == tuple(want)
+    assert seconds < 2, f"canon took {seconds:.1f}s"
+
+
 # --- search ------------------------------------------------------------------
 
 

@@ -179,7 +179,7 @@ def test_canonical_form_of_empty_family():
 
 
 def test_canonical_form_capacity_error():
-    # m! relabelings: refuse grounds above 8 instead of running for hours
+    # the refinement can still branch on up to m! relabelings: refuse grounds above 8
     for m in (9, 40):
         f = new_family(m, [[0], [m - 1]])
         for group in (PERMUTATIONS_ONLY, PERMUTATIONS_AND_SWITCHING):

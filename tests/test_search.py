@@ -1,6 +1,7 @@
 """Searches re-derive extremal values; reports are deterministic and sound."""
 
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -20,12 +21,13 @@ from sepsys.core import (
     Family,
     bits,
     canonical_form,
+    is_canonical,
     relabel,
     switch_set,
 )
 from sepsys.search import (
+    SYMMETRY_DEPTH,
     ExistenceResult,
-    _is_canonical_prefix,
     exists_nice_of_size,
     max_nice_size,
     max_pair_family,
@@ -115,12 +117,26 @@ def test_max_nice_size_m5(g5_report):
     assert len(g5_report.example) == 10
 
 
+def _report_key(rep):
+    if isinstance(rep, ExistenceResult):
+        return rep.status, rep.family, rep.exhausted
+    return rep.best, rep.example, rep.exhausted
+
+
 def test_max_nice_size_symmetry_cross_check():
-    for m in (0, 1, 2, 3):
+    # Symmetry pruning must not change any report: the example is the first
+    # optimum in DFS order with or without it.
+    runs = [lambda sym: max_nice_size(5, 2, use_symmetry=sym)]
+    for m in range(0, 5):
         for k in (1, 2, 3):
-            with_sym = max_nice_size(m, k, use_symmetry=True)
-            without = max_nice_size(m, k, use_symmetry=False)
-            assert with_sym.best == without.best, (m, k)
+            runs.append(lambda sym, m=m, k=k: max_nice_size(m, k, use_symmetry=sym))
+            runs.append(lambda sym, m=m, k=k: max_unique_subset_family(m, k, use_symmetry=sym))
+            runs += [
+                lambda sym, m=m, k=k, n=n: exists_nice_of_size(m, k, n, use_symmetry=sym)
+                for n in range(0, (1 << m) + 2)
+            ]
+    for run in runs:
+        assert _report_key(run(True)) == _report_key(run(False))
 
 
 def test_max_nice_size_monotone_in_m_and_k():
@@ -330,10 +346,13 @@ def test_search_reports_pinned(name):
 
 # Nodes the DFS visits.  Sharper pruning may lower these, never raise them.
 PINNED_NODES = {
-    "g(5,2)": (lambda: max_nice_size(5, 2), 2658),
-    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 2644),
-    "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 53),
-    "g(6,1)": (lambda: max_nice_size(6, 1), 69),
+    "g(5,2)": (lambda: max_nice_size(5, 2), 113),
+    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 99),
+    "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 40),
+    "g(6,1)": (lambda: max_nice_size(6, 1), 15),
+    "g(5,3)": (lambda: max_nice_size(5, 3), 3285),
+    "g(6,2)": (lambda: max_nice_size(6, 2), 4647),
+    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 2767),
 }
 
 
@@ -343,78 +362,100 @@ def test_dfs_node_counts_pinned(name):
     assert run().nodes_visited == want
 
 
-def test_canonical_prefix_closed_form_matches_canonical_form():
-    # Every 1- and 2-word increasing prefix for m <= 5.  At m = 6 a
-    # canonical_form call costs milliseconds, so there the comparison covers
-    # the prefixes the DFS asks about: single words, and pairs whose first
-    # word is canonical (a canonical pair always starts with one, as m <= 5
-    # confirms).
+def _brute_least_image(m, words, switching):
+    """The least sorted image over every relabel x switch_set, explicitly."""
+    f = Family(m, tuple(words))
+    masks = range(1 << m) if switching else (0,)
+    return min(
+        tuple(sorted(switch_set(relabel(f, perm), mask).members))
+        for perm in permutations(range(m))
+        for mask in masks
+    )
+
+
+def test_canonical_prefix_matches_brute_force():
+    rng = random.Random(6)
+    cases = []
+    for m in range(0, 6):
+        words = range(1 << m)
+        cases += [
+            (m, list(words)),  # the cube
+            (m, [w for w in words if w.bit_count() == m // 2]),  # middle layer
+            (m, [w for w in words if w.bit_count() % 2 == 0]),  # even weight
+        ]
+        for _ in range(60 if m < 5 else 25):
+            members = rng.sample(words, rng.randrange(0, min(10, 1 << m) + 1))
+            if members and rng.random() < 0.2:
+                members.append(rng.choice(members))  # duplicate members are allowed
+            cases.append((m, members))
+    for m, members in cases:
+        for group, switching in ((PERMUTATIONS_ONLY, False), (PERMUTATIONS_AND_SWITCHING, True)):
+            want = _brute_least_image(m, members, switching)
+            assert canonical_form(Family(m, tuple(members)), group).members == want
+            ws = tuple(sorted(members))
+            assert is_canonical(ws, m, group) == (want == ws), (m, ws, group)
+    # every 1- and 2-word prefix at m = 6: the early-exit test against the
+    # full least image
     for group in (PERMUTATIONS_ONLY, PERMUTATIONS_AND_SWITCHING):
-        for m in range(0, 7):
-            for a in range(1 << m):
-                first = _is_canonical_prefix((a,), group)
-                assert first == (canonical_form(Family(m, (a,)), group).members == (a,))
-                if m == 6 and not first:
-                    continue
-                for b in range(a + 1, 1 << m):
-                    ws = (a, b)
-                    want = canonical_form(Family(m, ws), group).members == ws
-                    assert _is_canonical_prefix(ws, group) == want, (m, group, ws)
+        for ws in (*combinations(range(64), 1), *combinations(range(64), 2)):
+            want = canonical_form(Family(6, ws), group).members == ws
+            assert is_canonical(ws, 6, group) == want, (group, ws)
 
 
-def _order_first(m, *parts):
-    """The ground permutation that sends the elements of parts[0] to the
-    lowest positions, those of parts[1] to the next ones, and so on, then
-    the rest; perm[i] is where element i goes."""
-    rest = (1 << m) - 1
-    for part in parts:
-        rest &= ~part
-    perm = {}
-    for part in (*parts, rest):
-        for i in bits(part):
-            perm[i] = len(perm)
-    return [perm[i] for i in range(m)]
+def _orbits(m, d, switching):
+    """The d-word roots on m columns, grouped into orbits by union-find under
+    the group generators: adjacent transpositions of the ground, and single
+    switches when ``switching``."""
+    gens = []
+    for i in range(m - 1):
+        swap = list(range(m))
+        swap[i], swap[i + 1] = i + 1, i
+        gens.append(lambda f, swap=swap: relabel(f, swap))
+    if switching:
+        gens += [lambda f, v=v: switch_set(f, 1 << v) for v in range(m)]
+    roots = list(combinations(range(1 << m), d))
+    parent = {r: r for r in roots}
 
+    def find(r):
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
 
-def _kept_images(m, group, element):
-    """Map every root of one or two words through ``element(root)``, a group
-    element applied with core operations; check that each image is a root
-    the DFS keeps and that every kept root is hit.  Returns the images."""
-    roots = set(combinations(range(1 << m), 1)) | set(combinations(range(1 << m), 2))
-    images = set()
     for root in roots:
-        image = tuple(sorted(element(Family(m, root)).members))
-        assert _is_canonical_prefix(image, group), (m, group, root, image)
-        images.add(image)
-    assert images == {r for r in roots if _is_canonical_prefix(r, group)}, (m, group)
-    return images
+        for gen in gens:
+            image = tuple(sorted(gen(Family(m, root)).members))
+            parent[find(image)] = find(root)
+    orbits = {}
+    for root in roots:
+        orbits.setdefault(find(root), []).append(root)
+    return orbits.values()
+
+
+def _check_orbits(group, switching, cases):
+    # Checks the symmetry pruning without the canonicalizer's own reasoning
+    # and without rerunning any tree: each orbit of d-word roots keeps
+    # exactly one root, all of whose prefixes pass the DFS's test, and it is
+    # the orbit's least member, which the search's soundness argument needs.
+    for m, depth in cases:
+        for d in range(1, depth + 1):
+            for orbit in _orbits(m, d, switching):
+                kept = [
+                    r for r in orbit
+                    if all(is_canonical(r[:j], m, group) for j in range(1, d + 1))
+                ]
+                assert kept == [min(orbit)], (m, group, orbit)
 
 
 def test_every_root_maps_onto_a_kept_root_under_switching():
-    # Checks the symmetry pruning without rerunning any tree: an explicit
-    # group element maps each unreduced root onto one the DFS keeps, so no
-    # orbit is lost.  Switching by a sends (a, b) to (0, a ^ b), and the
-    # relabeling packs a ^ b into the low bits.
-    def element(f):
-        a, b = f.members[0], f.members[-1]
-        return relabel(switch_set(f, a), _order_first(f.ground_size, a ^ b))
-
-    for m in range(0, 7):
-        images = _kept_images(m, PERMUTATIONS_AND_SWITCHING, element)
-    assert len([r for r in images if len(r) == 2]) == 6  # 2016 pairs at m = 6
+    cases = [(m, SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 3), (6, 2)]
+    _check_orbits(PERMUTATIONS_AND_SWITCHING, True, cases)
 
 
 def test_every_root_maps_onto_a_kept_root_under_permutations():
-    # The owned-subset group has relabelings only.  The member x with fewer
-    # bits goes to the low bits, the bits it shares first; the other
-    # member's own bits go just above it.
-    def element(f):
-        x, *other = sorted(f.members, key=int.bit_count)
-        y = other[0] if other else x
-        return relabel(f, _order_first(f.ground_size, x & y, x & ~y, y & ~x))
-
-    for m in range(0, 6):
-        _kept_images(m, PERMUTATIONS_ONLY, element)
+    # the owned-subset group has relabelings only
+    cases = [(m, SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 3), (6, 2)]
+    _check_orbits(PERMUTATIONS_ONLY, False, cases)
 
 
 # --- max_pair_family ---------------------------------------------------------
