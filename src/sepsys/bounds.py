@@ -82,8 +82,6 @@ def min_m_hcs(n: int, k: int) -> int:
     minimum.
     """
     _require_n(n)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     return _least_m(lambda m: binom(m, k_prime(m, k)) >= n, 1)
 
 
@@ -118,10 +116,7 @@ def f_bounds(n: int, k: int) -> BoundPair:
     k-hyperseparating system separates); otherwise the separating floor
     itself.
     """
-    _require_n(n)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    upper = min_m_hcs(n, k)
+    upper = min_m_hcs(n, k)  # rejects n < 2 and k < 1 first
     floor_sep = separating_min(n)
     # n > C(2k-1, k), the middle binomial of 2k-1, without building it for a huge k
     if spencer_min(n) > 2 * k - 1:

@@ -359,48 +359,22 @@ def cmd_table(args) -> int:
         raise ValueError(f"--n-max is capped at 200, got {n_max}")
     if check_up_to > 12:
         raise ValueError(f"--check-search-up-to is capped at 12, got {check_up_to}")
-    searched = _searched_f2(check_up_to, _budget_ms(args))
+    budget = _budget_ms(args)
     bad = 0
     for n in range(2, n_max + 1):
         f2 = bounds.f2_exact(n)
         pair = bounds.f_bounds(n, 2)
         line = f"{n:>3}  {f2:>2}  [{pair.lower} ≤ {f2} ≤ {pair.upper}]"
         if n <= check_up_to:
-            got = searched.get(n)
-            mark = "✓" if got == f2 else "✗"
-            if got != f2:
+            # best is set only once every lower m was proven empty
+            rep = search.min_m_hyperseparating(n, 2, 6, budget)
+            _self_check("hs", rep.example, 2, f"table row {n}")
+            mark = "✓" if rep.best == f2 else "✗"
+            if rep.best != f2:
                 bad += 1
-            line += f"  search:{got} {mark}"
+            line += f"  search:{rep.best} {mark}"
         print(line)
     return EXIT_FAIL if bad else EXIT_OK
-
-
-def _searched_f2(n_max: int, budget_ms: int | None) -> dict[int, int]:
-    """f(n,2) = min{m : g(m,2) >= n} for the n <= n_max that search settles.
-
-    Removing members keeps a family nice, so g(m,2) settles every n at once:
-    one max_nice_size per m up to 5, then, at the m = 6 cap, one
-    exists_nice_of_size(6, 2, n_max) for all the n left.  Each search gets
-    the budget; one that expires settles only the sizes it found and ends
-    the scan.
-    """
-    settled: dict[int, int] = {}
-    g = 1  # g(0,2): the empty ground has one subset
-    for m in range(1, 7):
-        if g >= n_max:
-            break
-        if m < 6:
-            rep = search.max_nice_size(m, 2, budget_ms)
-            reach, exhausted = rep.best, rep.exhausted
-        else:
-            res = search.exists_nice_of_size(m, 2, n_max, budget_ms)
-            reach, exhausted = (0 if res.family is None else n_max), res.exhausted
-        for n in range(g + 1, min(reach, n_max) + 1):
-            settled[n] = m
-        if not exhausted:
-            break
-        g = reach
-    return settled
 
 
 def _build_parser() -> argparse.ArgumentParser:

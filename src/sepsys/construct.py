@@ -20,7 +20,7 @@ from .core import (
     switch_set,
 )
 from .verify import is_nice, words_of_size
-from .bounds import binom, k_prime, min_m_hcs, spencer_min
+from .bounds import binom, f2_exact, k_prime, min_m_hcs, spencer_min
 
 CASE_KEYS_DIFFER_BY_ONE = "SharedSeparatorKeysDifferByOne"
 CASE_KEYS_DIFFER_BY_TWO = "SharedSeparatorKeysDifferByTwo"
@@ -39,11 +39,6 @@ class ReductionOutcome:
     case: str
     reduced: Family | None
     removed_members: int
-
-
-def _require_n2(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
 
 
 def binary_separating(n: int) -> Family:
@@ -95,7 +90,6 @@ def _dual_of_assigned_subsets(n: int, m: int, j: int) -> Family:
 def spencer_completely_separating(n: int) -> Family:
     """Minimum completely separating system: assign each element a distinct
     middle-layer subset and dualize."""
-    _require_n2(n)
     m = spencer_min(n)
     return _dual_of_assigned_subsets(n, m, m // 2)
 
@@ -103,7 +97,6 @@ def spencer_completely_separating(n: int) -> Family:
 def k_hcs_minimal(n: int, k: int) -> Family:
     """Minimum k-hypercompletely separating system: assign each element a
     distinct k'-subset and dualize.  Exactly min_m_hcs(n, k) members."""
-    _require_n2(n)
     m = min_m_hcs(n, k)
     return _dual_of_assigned_subsets(n, m, k_prime(m, k))
 
@@ -134,10 +127,9 @@ def hyperseparating_minimal_2(n: int) -> Family:
     uniqueness constraints, so niceness survives.  For n >= 11 the
     k-hypercompletely-separating construction is already optimal.
     """
-    _require_n2(n)
     if n >= 11:
         return k_hcs_minimal(n, 2)
-    m = (n + 1) // 2
+    m = f2_exact(n)
     if m == 5:
         d = new_family(5, [list(s) for s in combinations(range(5), 2)])
     else:

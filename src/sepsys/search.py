@@ -295,11 +295,9 @@ def min_m_hyperseparating(
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if m_max > 6:
-        raise CapacityError(f"m_max {m_max} exceeds the exhaustive cap of 6")
+    _check_mk(m_max, k, m_cap=6)  # before 1 << m_max, and before any level runs
     if n > 1 << m_max:
         raise ValueError(f"n = {n} exceeds 2^m_max = {1 << m_max}")
-    _check_mk(m_max, k, m_cap=6)  # rejects k < 1 before any level runs
     budget = _Budget(budget_ms)  # one deadline for every level
     nodes = 0
     levels: list[tuple[int, str]] = []

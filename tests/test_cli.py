@@ -347,6 +347,10 @@ def test_search_usage_errors(capsys):
     assert code == EXIT_USAGE and "--m is required" in err
     code, out, err = run(capsys, ["search", "--problem", "exists", "--m", "4"])
     assert code == EXIT_USAGE and out == "" and "--n is required" in err
+    # a negative m_max is refused by name, before any shift by it
+    code, out, err = run(capsys, ["search", "--problem", "min-m", "--n", "5", "--m-max", "-1"])
+    assert code == EXIT_USAGE and out == "" and "m must be >= 0, got -1" in err
+    assert "shift" not in err
 
 
 # --- table -------------------------------------------------------------------
@@ -380,7 +384,8 @@ def test_table_caps(capsys):
 
 
 def test_table_search_reaches_the_m6_cap(capsys):
-    # n = 11, 12 lie above g(5,2) = 10, so one m = 6 existence search settles them
+    # n = 11, 12 lie above g(5,2) = 10, so their min-m searches prove every
+    # m <= 5 empty and find a family at m = 6
     code, out, _ = run(capsys, ["table", "--n-max", "12", "--check-search-up-to", "12"])
     assert code == EXIT_OK
     lines = out.splitlines()
@@ -396,26 +401,62 @@ def test_table_expired_budget_is_not_a_pass(capsys):
     assert all(ln.endswith("search:None ✗") for ln in out.splitlines())
 
 
-def test_table_partial_level_settles_only_what_it_found(capsys, monkeypatch):
-    import dataclasses
-
+def test_table_expired_row_fails_alone(capsys, monkeypatch):
     import sepsys.cli as cli
 
-    # m = 3 "expires" after a nice family of 5 (g(3,2) = 6): n = 5 is still
-    # settled at 3, but no n above it is settled by a later level
-    real = cli.search.max_nice_size
+    # row 5's search "expires" before settling: only that row is unproven
+    real = cli.search.min_m_hyperseparating
 
-    def expiring(m, k, budget_ms=None):
-        rep = real(m, k, budget_ms)
-        return dataclasses.replace(rep, best=5, exhausted=False) if m == 3 else rep
+    def expiring(n, k, m_max, budget_ms=None):
+        if n == 5:
+            return search.SearchReport(None, None, False, 1, levels=((3, "budget-exhausted"),))
+        return real(n, k, m_max, budget_ms)
 
-    monkeypatch.setattr(cli.search, "max_nice_size", expiring)
+    monkeypatch.setattr(cli.search, "min_m_hyperseparating", expiring)
     code, out, _ = run(capsys, ["table", "--n-max", "8", "--check-search-up-to", "8"])
     assert code == EXIT_FAIL
-    assert [ln.split()[-2] for ln in out.splitlines()] == [
-        "search:1", "search:2", "search:2", "search:3",
-        "search:None", "search:None", "search:None",
+    assert [ln.split("search:")[1] for ln in out.splitlines()] == [
+        "1 ✓", "2 ✓", "2 ✓", "None ✗", "3 ✓", "4 ✓", "4 ✓",
     ]
+
+
+TABLE_30_CHECKED_TO_12 = """\
+  2   1  [1 ≤ 1 ≤ 2]  search:1 ✓
+  3   2  [2 ≤ 2 ≤ 3]  search:2 ✓
+  4   2  [2 ≤ 2 ≤ 4]  search:2 ✓
+  5   3  [3 ≤ 3 ≤ 4]  search:3 ✓
+  6   3  [3 ≤ 3 ≤ 4]  search:3 ✓
+  7   4  [3 ≤ 4 ≤ 5]  search:4 ✓
+  8   4  [3 ≤ 4 ≤ 5]  search:4 ✓
+  9   5  [4 ≤ 5 ≤ 5]  search:5 ✓
+ 10   5  [4 ≤ 5 ≤ 5]  search:5 ✓
+ 11   6  [4 ≤ 6 ≤ 6]  search:6 ✓
+ 12   6  [4 ≤ 6 ≤ 6]  search:6 ✓
+ 13   6  [4 ≤ 6 ≤ 6]
+ 14   6  [4 ≤ 6 ≤ 6]
+ 15   6  [4 ≤ 6 ≤ 6]
+ 16   7  [4 ≤ 7 ≤ 7]
+ 17   7  [5 ≤ 7 ≤ 7]
+ 18   7  [5 ≤ 7 ≤ 7]
+ 19   7  [5 ≤ 7 ≤ 7]
+ 20   7  [5 ≤ 7 ≤ 7]
+ 21   7  [5 ≤ 7 ≤ 7]
+ 22   8  [5 ≤ 8 ≤ 8]
+ 23   8  [5 ≤ 8 ≤ 8]
+ 24   8  [5 ≤ 8 ≤ 8]
+ 25   8  [5 ≤ 8 ≤ 8]
+ 26   8  [5 ≤ 8 ≤ 8]
+ 27   8  [5 ≤ 8 ≤ 8]
+ 28   8  [5 ≤ 8 ≤ 8]
+ 29   9  [5 ≤ 9 ≤ 9]
+ 30   9  [5 ≤ 9 ≤ 9]
+"""
+
+
+def test_table_full_output_pinned(capsys):
+    code, out, _ = run(capsys, ["table", "--n-max", "30", "--check-search-up-to", "12"])
+    assert code == EXIT_OK
+    assert out == TABLE_30_CHECKED_TO_12
 
 
 def test_table_mismatch_exits_nonzero(capsys, monkeypatch):
@@ -439,6 +480,26 @@ def test_construct_self_check_sentinel(capsys, monkeypatch):
     code, _, err = run(capsys, ["construct", "--kind", "binary", "--n", "4"])
     assert code == 3
     assert "internal error" in err
+
+
+def test_table_self_check_sentinel(capsys, monkeypatch):
+    import sepsys.cli as cli
+
+    # a searched row whose example is not 2-hyperseparating must exit 3
+    # before that row is printed
+    real = cli.search.min_m_hyperseparating
+    bad = dual(Family(2, (0b01, 0b01, 0b10, 0b11)))
+
+    def broken(n, k, m_max, budget_ms=None):
+        if n == 4:
+            return search.SearchReport(2, bad, True, 1, levels=((2, "found"),))
+        return real(n, k, m_max, budget_ms)
+
+    monkeypatch.setattr(cli.search, "min_m_hyperseparating", broken)
+    code, out, err = run(capsys, ["table", "--n-max", "6", "--check-search-up-to", "6"])
+    assert code == 3
+    assert "internal error" in err and "table row 4" in err
+    assert [ln.split()[0] for ln in out.splitlines()] == ["2", "3"]
 
 
 @pytest.mark.parametrize(

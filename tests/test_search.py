@@ -238,6 +238,8 @@ def test_min_m_validates_inputs():
         min_m_hyperseparating(8, 2, 7)
     with pytest.raises(ValueError, match="k must be"):
         min_m_hyperseparating(5, 0, 4)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        min_m_hyperseparating(5, 2, -1)
 
 
 # --- max_unique_subset_family ------------------------------------------------
