@@ -200,12 +200,8 @@ def proof_step_reduction(d: Family, k: int = 2) -> ReductionOutcome:
     m, words, n = d.ground_size, d.members, len(d.members)
 
     def separated_by(S: int) -> list[int]:
-        out = []
-        for i in range(n):
-            key = words[i] & S
-            if all(words[j] & S != key for j in range(n) if j != i):
-                out.append(i)
-        return out
+        traces = list(map(S.__and__, words))
+        return [i for i, t in enumerate(traces) if traces.count(t) == 1]
 
     shared = []
     for S in words_of_size(m, 2):

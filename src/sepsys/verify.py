@@ -9,7 +9,7 @@ bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .core import Family, SeparatorWitness, dual, signatures
 
@@ -142,6 +142,26 @@ def is_k_hypercompletely_separating(f: Family, k: int) -> Certificate:
     return Certificate(HYPERCOMPLETELY, True, k=k, witnesses=tuple(wit))
 
 
+def _candidates(m: int, k: int, drawn: list[int]):
+    """Every set of at most k elements in (size, value) order, each appended
+    to ``drawn`` as it is yielded."""
+    for size in range(k + 1):
+        for S in words_of_size(m, size):
+            drawn.append(S)
+            yield S
+
+
+def _first_separator(wi: int, others, drawn: list[int], fresh) -> SeparatorWitness | None:
+    """The first set S in (size, value) order on which member wi differs from
+    every word in ``others``, or None.  The sets ``drawn`` so far are tried
+    before ``fresh`` draws more, so one family's scans share one enumeration."""
+    for S in chain(drawn, fresh):
+        key = wi & S
+        if key not in map(S.__and__, others):
+            return SeparatorWitness(S, key)
+    return None
+
+
 def find_separator(d: Family, i: int, k: int) -> SeparatorWitness | None:
     """Deterministic separator for member i of a dual family, or None.
 
@@ -153,23 +173,19 @@ def find_separator(d: Family, i: int, k: int) -> SeparatorWitness | None:
     if not 0 <= i < len(d.members):
         raise ValueError(f"member index {i} out of range for {len(d.members)} members")
     _require_k(k)
-    m = d.ground_size
-    wi = d.members[i]
-    others = [w for j, w in enumerate(d.members) if j != i]
-    for size in range(0, k + 1):
-        for S in words_of_size(m, size):
-            key = wi & S
-            if all(w & S != key for w in others):
-                return SeparatorWitness(S, key)
-    return None
+    ws, drawn = d.members, []
+    fresh = _candidates(d.ground_size, k, drawn)
+    return _first_separator(ws[i], ws[:i] + ws[i + 1:], drawn, fresh)
 
 
 def is_nice(d: Family, k: int) -> Certificate:
     """Every member of the dual family has a separator of size <= k."""
     _require_k(k)
+    ws, drawn = d.members, []
+    fresh = _candidates(d.ground_size, k, drawn)
     wits = []
-    for i in range(len(d.members)):
-        w = find_separator(d, i, k)
+    for i, wi in enumerate(ws):
+        w = _first_separator(wi, ws[:i] + ws[i + 1:], drawn, fresh)
         if w is None:
             return Certificate(NICE, False, k=k, failure=i)
         wits.append(w)
@@ -183,11 +199,13 @@ def owns_unique_subsets(d: Family, k: int) -> bool:
     _require_k(k)
     ws = d.members
     for i, wi in enumerate(ws):
-        others = ws[:i] + ws[i + 1:]
+        # S lies inside w exactly when S & ~w == 0
+        outside = [~w for w in ws[:i] + ws[i + 1:]]
+        bits = [1 << t for t in range(d.ground_size) if wi >> t & 1]
         if not any(
-            S & ~wi == 0 and all(S & ~w for w in others)
+            0 not in map(sum(c).__and__, outside)
             for size in range(k + 1)
-            for S in words_of_size(d.ground_size, size)
+            for c in combinations(bits, size)
         ):
             return False
     return True
@@ -257,7 +275,7 @@ def check_separator_witness(d: Family, i: int, witness: SeparatorWitness, k: int
         return False
     if witness.key != d.members[i] & S:
         return False
-    return all(w & S != witness.key for j, w in enumerate(d.members) if j != i)
+    return list(map(S.__and__, d.members)).count(witness.key) == 1
 
 
 def recheck_certificate(f: Family, cert: Certificate) -> bool:

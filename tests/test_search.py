@@ -450,13 +450,13 @@ def _check_orbits(group, switching, cases):
 
 
 def test_every_root_maps_onto_a_kept_root_under_switching():
-    cases = [(m, SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 3), (6, 2)]
+    cases = [(m, SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 4), (6, 3)]
     _check_orbits(PERMUTATIONS_AND_SWITCHING, True, cases)
 
 
 def test_every_root_maps_onto_a_kept_root_under_permutations():
-    # the owned-subset group has relabelings only
-    cases = [(m, SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 3), (6, 2)]
+    # the owned-subset group has relabelings only; its search stops at m = 5
+    cases = [(m, SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 4), (6, 2)]
     _check_orbits(PERMUTATIONS_ONLY, False, cases)
 
 

@@ -28,6 +28,7 @@ from sepsys import (
     spencer_completely_separating,
     switch,
 )
+import sepsys.verify as verify
 from sepsys.core import word_of
 from conftest import all_families
 
@@ -169,6 +170,90 @@ def test_find_separator_empty_set_for_single_member():
 def test_find_separator_index_error():
     with pytest.raises(ValueError):
         find_separator(new_family(1, [[0]]), 1, 1)
+
+
+def _reference_separator(d, i, k):
+    """The per-member scan: every set of at most k elements in (size, value)
+    order, each tested against the other members one by one."""
+    wi = d.members[i]
+    others = [w for j, w in enumerate(d.members) if j != i]
+    for size in range(k + 1):
+        for S in range(1 << d.ground_size):
+            if S.bit_count() == size and all(w & S != wi & S for w in others):
+                return SeparatorWitness(S, wi & S)
+    return None
+
+
+def _random_dual_families(rng, count, m_max, n_max):
+    for m in range(m_max + 1):
+        yield Family(m, ())
+        yield Family(m, (rng.randrange(1 << m),))
+    for _ in range(count):
+        m = rng.randint(0, m_max)
+        ws = [rng.randrange(1 << m) for _ in range(rng.randint(0, n_max))]
+        if ws and rng.random() < 0.3:
+            ws.insert(rng.randrange(len(ws) + 1), rng.choice(ws))
+        yield Family(m, tuple(ws))
+
+
+def test_separator_scan_matches_per_member_reference():
+    rng = random.Random(2024)
+    failures = 0
+    for d in _random_dual_families(rng, 3000, 6, 10):
+        for k in (1, 2, 3):
+            want = [_reference_separator(d, i, k) for i in range(len(d.members))]
+            assert [find_separator(d, i, k) for i in range(len(d.members))] == want, (d, k)
+            cert = is_nice(d, k)
+            if None in want:
+                failures += 1
+                assert not cert and cert.failure == want.index(None), (d, k)
+            else:
+                assert cert and cert.witnesses == tuple(want), (d, k)
+    assert failures > 1000
+
+
+def _reference_witness_check(d, i, S, key, k):
+    if S < 0 or S >> d.ground_size or S.bit_count() > k or key != d.members[i] & S:
+        return False
+    return all(w & S != key for j, w in enumerate(d.members) if j != i)
+
+
+def test_check_separator_witness_matches_full_scan():
+    rng = random.Random(31)
+    verdicts = []
+    for d in _random_dual_families(rng, 6000, 6, 8):
+        if not d.members:
+            continue
+        i = rng.randrange(len(d.members))
+        S = rng.randrange(1 << (d.ground_size + 1))  # half reach past the ground
+        # mostly the member's own trace, sometimes a wrong key
+        key = S & (d.members[i] if rng.random() < 0.7 else rng.randrange(1 << d.ground_size))
+        k = rng.randint(1, 3)  # often smaller than |S|
+        want = _reference_witness_check(d, i, S, key, k)
+        assert check_separator_witness(d, i, SeparatorWitness(S, key), k) == want, (d, i, S, key, k)
+        verdicts.append(want)
+    assert verdicts.count(True) > 200 and verdicts.count(False) > 200
+
+
+def test_separator_scan_draws_only_the_sets_it_reaches(monkeypatch):
+    # C(64, <= 4) is about 680 000 sets; the empty set and {0} settle both
+    # members, so a scan that enumerates whole layers ahead would show here
+    drawn = []
+    words_of_size = verify.words_of_size
+
+    def counted(m, size):
+        for S in words_of_size(m, size):
+            drawn.append(S)
+            yield S
+
+    monkeypatch.setattr(verify, "words_of_size", counted)
+    d = Family(64, (1, 2))
+    cert = is_nice(d, 4)
+    assert cert.witnesses == (SeparatorWitness(1, 1), SeparatorWitness(1, 0))
+    assert drawn == [0, 1]
+    drawn.clear()
+    assert find_separator(d, 1, 4) == SeparatorWitness(1, 0)
+    assert drawn == [0, 1]
 
 
 # --- is_nice -----------------------------------------------------------------
