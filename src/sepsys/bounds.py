@@ -8,15 +8,15 @@ costs only a logarithmic number of evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+
+from .core import Value, _set
 
 PAIR_FAMILY = "pair-family"
 INFO_THEORETIC = "info-theoretic"
 
 
-@dataclass(frozen=True)
-class BoundPair:
+class BoundPair(Value):
     """A lower/upper sandwich for the minimum k-hyperseparating system size.
 
     lower_source reports which argument produced the lower bound;
@@ -24,10 +24,13 @@ class BoundPair:
     information-theoretic floor and was raised to it.
     """
 
-    lower: int
-    upper: int
-    lower_source: str
-    lower_clamped: bool = False
+    __slots__ = ("lower", "upper", "lower_source", "lower_clamped")
+
+    def __init__(self, lower: int, upper: int, lower_source: str, lower_clamped: bool = False):
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "lower_source", lower_source)
+        _set(self, "lower_clamped", lower_clamped)
 
 
 def _require_n(n: int) -> None:

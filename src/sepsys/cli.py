@@ -269,15 +269,15 @@ def cmd_canon(args) -> int:
 
 
 def _budget_ms(args) -> int | None:
-    if args.budget_ms is not None:
-        return args.budget_ms
-    env = os.environ.get(BUDGET_ENV)
-    if env:
+    budget, env = args.budget_ms, os.environ.get(BUDGET_ENV)
+    if budget is None and env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return None
+    if budget is not None and budget < 0:
+        raise ValueError(f"a budget must be >= 0 ms, got {budget}")
+    return budget
 
 
 # search problem -> the flags it requires

@@ -6,7 +6,6 @@ match the closed-form formulas in ``bounds`` exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     new_family,
     switch_set,
 )
+from .core import Value, _set
 from .verify import is_nice, words_of_size
 from .bounds import binom, f2_exact, k_prime, min_m_hcs, spencer_min
 
@@ -28,17 +28,19 @@ CASE_SINGLETON_SEPARATOR = "SingletonSeparator"
 CASE_NO_REDUCTION = "NoReduction"
 
 
-@dataclass(frozen=True)
-class ReductionOutcome:
+class ReductionOutcome(Value):
     """Which case of the size-bound case analysis applied, and its result.
 
     ``reduced`` (absent for NoReduction) lives on one fewer ground element
     and has been re-verified nice for the same k.
     """
 
-    case: str
-    reduced: Family | None
-    removed_members: int
+    __slots__ = ("case", "reduced", "removed_members")
+
+    def __init__(self, case: str, reduced: Family | None, removed_members: int) -> None:
+        _set(self, "case", case)
+        _set(self, "reduced", reduced)
+        _set(self, "removed_members", removed_members)
 
 
 def binary_separating(n: int) -> Family:

@@ -8,8 +8,8 @@ and makes exhaustive search affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 MAX_GROUND = 64
 _INF = float("inf")
@@ -23,8 +23,38 @@ class CapacityError(ValueError):
     """A ground set (or dual ground set) would not fit in one machine word."""
 
 
-@dataclass(frozen=True)
-class Family:
+_set = object.__setattr__  # how a Value's own __init__ fills its slots
+
+
+class Value:
+    """Immutable value: equality, hash, repr and pickling follow its ``__slots__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = attrgetter(*cls.__slots__)  # one tuple of field values
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields(self) == self._fields(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+
+class Family(Value):
     """Ordered list of member bit-words over ground elements 0..ground_size-1.
 
     Duplicate members are representable (duals of degenerate systems produce
@@ -33,27 +63,30 @@ class Family:
     remove members.
     """
 
-    ground_size: int
-    members: tuple[int, ...]
+    __slots__ = ("ground_size", "members")
+
+    def __init__(self, ground_size: int, members: tuple[int, ...]) -> None:
+        _set(self, "ground_size", ground_size)
+        _set(self, "members", members)
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SeparatorWitness:
+class SeparatorWitness(Value):
     """A separator set with its key, both bit-words over the same ground.
 
     The key is the intersection of the witnessed member with the separator,
     so it is always a subset of the separator.
     """
 
-    separator: int
-    key: int
+    __slots__ = ("separator", "key")
 
-    def __post_init__(self) -> None:
-        if self.key & ~self.separator:
+    def __init__(self, separator: int, key: int) -> None:
+        if key & ~separator:
             raise ValueError("key must be a subset of the separator")
+        _set(self, "separator", separator)
+        _set(self, "key", key)
 
 
 def bits(word: int) -> list[int]:

@@ -30,7 +30,6 @@ best strictly, so the example reported is the first optimum in DFS order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -42,6 +41,7 @@ from .core import (
     dual,
     is_canonical,
 )
+from .core import Value, _set
 
 SYMMETRY_DEPTH = 5  # measured: depth 4 visits 3.5x the nodes, depth 6 doubles cold g(6,2)
 
@@ -49,8 +49,7 @@ _MODE_SEPARATOR = "separator"  # witness survives members it intersects the diff
 _MODE_OWNED_SUBSET = "owned-subset"  # witness must avoid being a subset of others
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Value):
     """Result of an extremal search.
 
     ``exhausted`` is True only when the full symmetry-reduced space was
@@ -59,22 +58,31 @@ class SearchReport:
     visited, a deterministic number for a search that ran to the end.
     """
 
-    best: int | None
-    example: Family | None
-    exhausted: bool
-    nodes_visited: int
-    wall_budget_ms: int | None = None
-    example_pairs: tuple[SeparatorWitness, ...] | None = None
-    levels: tuple[tuple[int, str], ...] | None = None
+    __slots__ = ("best", "example", "exhausted", "nodes_visited", "wall_budget_ms",
+                 "example_pairs", "levels")
+
+    def __init__(self, best: int | None, example: Family | None, exhausted: bool,
+                 nodes_visited: int, wall_budget_ms: int | None = None,
+                 example_pairs: tuple[SeparatorWitness, ...] | None = None,
+                 levels: tuple[tuple[int, str], ...] | None = None) -> None:
+        _set(self, "best", best)
+        _set(self, "example", example)
+        _set(self, "exhausted", exhausted)
+        _set(self, "nodes_visited", nodes_visited)
+        _set(self, "wall_budget_ms", wall_budget_ms)
+        _set(self, "example_pairs", example_pairs)
+        _set(self, "levels", levels)
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
+class ExistenceResult(Value):
     """Three-valued outcome of a fixed-size existence search."""
 
-    family: Family | None
-    exhausted: bool
-    nodes_visited: int
+    __slots__ = ("family", "exhausted", "nodes_visited")
+
+    def __init__(self, family: Family | None, exhausted: bool, nodes_visited: int) -> None:
+        _set(self, "family", family)
+        _set(self, "exhausted", exhausted)
+        _set(self, "nodes_visited", nodes_visited)
 
     @property
     def status(self) -> str:

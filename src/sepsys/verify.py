@@ -8,10 +8,9 @@ bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .core import Family, SeparatorWitness, dual, signatures
+from .core import Family, SeparatorWitness, Value, _set, dual, signatures
 
 SEPARATING = "separating"
 COMPLETELY_SEPARATING = "completely-separating"
@@ -20,8 +19,7 @@ HYPERSEPARATING = "hyperseparating"
 NICE = "nice"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Outcome of a separation check.
 
     On success, ``witnesses`` holds one certifying object per ground element
@@ -29,24 +27,30 @@ class Certificate:
     holds the counterexample: an element, a member index, or a pair.
     """
 
-    prop: str
-    ok: bool
-    k: int | None = None
-    witnesses: tuple = ()
-    failure: object = None
+    __slots__ = ("prop", "ok", "k", "witnesses", "failure")
+
+    def __init__(self, prop: str, ok: bool, k: int | None = None, witnesses: tuple = (),
+                 failure: object = None) -> None:
+        _set(self, "prop", prop)
+        _set(self, "ok", ok)
+        _set(self, "k", k)
+        _set(self, "witnesses", witnesses)
+        _set(self, "failure", failure)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PairFamilyViolation:
+class PairFamilyViolation(Value):
     """Why a separator/key pair family is invalid.  Falsy by design."""
 
-    kind: str  # "duplicate" | "oversized" | "containment"
-    key: int | None
-    separators: tuple[int, ...]
-    message: str
+    __slots__ = ("kind", "key", "separators", "message")
+
+    def __init__(self, kind: str, key: int | None, separators: tuple[int, ...], message: str):
+        _set(self, "kind", kind)  # "duplicate" | "oversized" | "containment"
+        _set(self, "key", key)
+        _set(self, "separators", separators)
+        _set(self, "message", message)
 
     def __bool__(self) -> bool:
         return False

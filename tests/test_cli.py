@@ -342,7 +342,7 @@ def test_search_budget_env(capsys, monkeypatch):
     assert "budget-exhausted" in out
 
 
-def test_search_usage_errors(capsys):
+def test_search_usage_errors(capsys, monkeypatch):
     code, _, err = run(capsys, ["search", "--problem", "g"])
     assert code == EXIT_USAGE and "--m is required" in err
     code, out, err = run(capsys, ["search", "--problem", "exists", "--m", "4"])
@@ -351,6 +351,12 @@ def test_search_usage_errors(capsys):
     code, out, err = run(capsys, ["search", "--problem", "min-m", "--n", "5", "--m-max", "-1"])
     assert code == EXIT_USAGE and out == "" and "m must be >= 0, got -1" in err
     assert "shift" not in err
+    # a negative budget is refused, from the flag and from the environment
+    code, out, err = run(capsys, ["search", "--problem", "g", "--m", "3", "--budget-ms", "-1"])
+    assert code == EXIT_USAGE and out == "" and "error: a budget must be >= 0 ms, got -1" in err
+    monkeypatch.setenv("SEPSYS_BUDGET_MS", "-1")
+    code, out, err = run(capsys, ["search", "--problem", "g", "--m", "3"])
+    assert code == EXIT_USAGE and out == "" and "error: a budget must be >= 0 ms, got -1" in err
 
 
 # --- table -------------------------------------------------------------------
@@ -399,6 +405,12 @@ def test_table_expired_budget_is_not_a_pass(capsys):
     )
     assert code == EXIT_FAIL
     assert all(ln.endswith("search:None ✗") for ln in out.splitlines())
+
+
+def test_table_negative_budget_is_usage_error(capsys):
+    code, out, err = run(capsys, ["table", "--n-max", "6", "--budget-ms", "-5"])
+    assert code == EXIT_USAGE and out == ""
+    assert "error: a budget must be >= 0 ms, got -5" in err
 
 
 def test_table_expired_row_fails_alone(capsys, monkeypatch):
@@ -567,6 +579,18 @@ def _cli_env():
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("SEPSYS_BUDGET_MS", None)
     return env
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # start-up is most of a CLI command's wall time, and importing dataclasses
+    # pulls in all of these
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, sepsys.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_exit_codes(tmp_path):

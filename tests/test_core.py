@@ -1,5 +1,7 @@
 """Family representation, dualization, switching, canonical forms."""
 
+import copy
+import pickle
 from itertools import permutations
 
 import pytest
@@ -21,7 +23,11 @@ from sepsys import (
     relabel,
     switch,
 )
+from sepsys.bounds import BoundPair
+from sepsys.construct import CASE_NO_REDUCTION, ReductionOutcome
 from sepsys.core import bits, switch_set, word_of
+from sepsys.search import ExistenceResult, SearchReport
+from sepsys.verify import NICE, Certificate, PairFamilyViolation
 
 
 @st.composite
@@ -255,3 +261,49 @@ def test_separator_witness_validates_key():
     SeparatorWitness(0b11, 0b01)
     with pytest.raises(ValueError):
         SeparatorWitness(0b01, 0b10)
+
+
+# every value class: (build, a different value, a field, its repr)
+VALUES = [
+    (lambda: Family(3, (1, 2)), Family(3, (2, 1)), "members",
+     "Family(ground_size=3, members=(1, 2))"),
+    (lambda: SeparatorWitness(0b11, 0b01), SeparatorWitness(0b11, 0b10), "key",
+     "SeparatorWitness(separator=3, key=1)"),
+    (lambda: Certificate(NICE, False, k=2, failure=0), Certificate(NICE, False, 2, (), 1), "ok",
+     "Certificate(prop='nice', ok=False, k=2, witnesses=(), failure=0)"),
+    (lambda: PairFamilyViolation("duplicate", 3, (3, 3), "key 3 twice"),
+     PairFamilyViolation("duplicate", None, (3, 3), "key 3 twice"), "kind",
+     "PairFamilyViolation(kind='duplicate', key=3, separators=(3, 3), message='key 3 twice')"),
+    (lambda: BoundPair(4, 5, "pair-family", lower_clamped=True), BoundPair(4, 5, "pair-family"),
+     "lower", "BoundPair(lower=4, upper=5, lower_source='pair-family', lower_clamped=True)"),
+    (lambda: ReductionOutcome(CASE_NO_REDUCTION, None, 0),
+     ReductionOutcome(CASE_NO_REDUCTION, None, 1), "reduced",
+     "ReductionOutcome(case='NoReduction', reduced=None, removed_members=0)"),
+    (lambda: SearchReport(None, None, False, 1, levels=((3, "budget-exhausted"),)),
+     SearchReport(None, None, False, 1), "levels",
+     "SearchReport(best=None, example=None, exhausted=False, nodes_visited=1,"
+     " wall_budget_ms=None, example_pairs=None, levels=((3, 'budget-exhausted'),))"),
+    (lambda: ExistenceResult(Family(3, (1, 2)), True, 5), ExistenceResult(None, True, 5),
+     "family",
+     "ExistenceResult(family=Family(ground_size=3, members=(1, 2)), exhausted=True,"
+     " nodes_visited=5)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, other, field, want", VALUES, ids=[want.split("(")[0] for *_, want in VALUES]
+)
+def test_value_semantics(build, other, field, want):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert repr(a) == want
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert repr(a) == want
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a and copy.copy(a) == a
+    with pytest.raises(ValueError):
+        SeparatorWitness(1, 2)  # a key outside its separator is refused
