@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -36,9 +35,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SELFCHECK = 3
-
-BUDGET_ENV = "SEPSYS_BUDGET_MS"
-
 
 class SelfCheckError(Exception):
     """A constructed or searched family failed its own oracle; emitting it
@@ -269,12 +265,7 @@ def cmd_canon(args) -> int:
 
 
 def _budget_ms(args) -> int | None:
-    budget, env = args.budget_ms, os.environ.get(BUDGET_ENV)
-    if budget is None and env:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
+    budget = args.budget_ms
     if budget is not None and budget < 0:
         raise ValueError(f"a budget must be >= 0 ms, got {budget}")
     return budget

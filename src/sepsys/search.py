@@ -9,13 +9,22 @@ applicable symmetry group (orderly generation, Read 1978), as decided by
 member of any orbit has only canonical prefixes: inserting the image of
 its largest word into a smaller sorted list keeps that list smaller.
 
-Feasibility is forward-checked (Haralick & Elliott 1980): each node carries
-per-member masks of surviving witness sets, and its candidate list holds
-only words that can still be added, i.e. words that keep a witness of their
-own and leave every member one.  Masks only shrink as members are added, so
-a word that fails this test fails it in every descendant; it is dropped when
-the child's list is built, and the cardinality bound ``size + candidates``
-counts only addable words.
+Every problem runs on one witness model, forward-checked (Haralick &
+Elliott 1980).  A witness is a set S of at most k elements; it serves
+member x while S meets x ^ w for every other member w, i.e. while x's key
+x & S is its own.  Each node carries per-member masks of surviving
+witnesses, and its candidate list holds only words that keep a witness of
+their own and leave every member one.  Masks only shrink as members are
+added, so a word that fails this test fails it in every descendant; it is
+dropped when the child's list is built, and the cardinality bound
+``size + candidates`` counts only addable words.
+
+Nice families start every word with every witness.  A member that must own
+a subset T of itself, contained in no other member, starts with the
+witnesses inside it: for T <= x, (x ^ w) & T == 0 exactly when T <= w.  A
+pair family is, per key, such a search over separators of at most k
+elements; each owns itself, so it keeps a witness while it is incomparable
+with every other member.
 
 The bound is tested in the parent's candidate loop, before a child is
 expanded (Carraghan & Pardalos 1990): a child that cannot beat the best
@@ -44,9 +53,6 @@ from .core import (
 from .core import Value, _set
 
 SYMMETRY_DEPTH = 5  # measured: depth 4 visits 3.5x the nodes, depth 6 doubles cold g(6,2)
-
-_MODE_SEPARATOR = "separator"  # witness survives members it intersects the difference of
-_MODE_OWNED_SUBSET = "owned-subset"  # witness must avoid being a subset of others
 
 
 class SearchReport(Value):
@@ -92,33 +98,23 @@ class ExistenceResult(Value):
 
 
 @lru_cache(maxsize=None)
-def _witness_tables(m: int, k: int, mode: str):
-    """Per-word witness bookkeeping tables.
+def _witness_tables(m: int, k: int):
+    """The witness table of the m-ground and its two starting masks.
 
-    Witness sets are all words of at most k bits.  ``keep[w][x]`` is the
-    mask of member x's witnesses that survive when member w is added: in
-    separator mode a witness survives only if it intersects the difference
-    x ^ w; in owned-subset mode it dies when it is contained in w, whatever
-    x is.  ``init[w]`` is the mask of witnesses available to a lone member w.
+    Witnesses are all words of at most k bits.  ``keep[w][x]`` is the mask
+    of member x's witnesses that survive when member w is added: those that
+    intersect x ^ w.  ``full`` holds every witness and ``own[w]`` those
+    inside w.  On a mask inside ``own[x]``, ``keep[w][x]`` kills exactly the
+    witnesses contained in w, so owned subsets need no table of their own.
     """
     words = range(1 << m)
     seps = [w for w in words if w.bit_count() <= k]
     full = (1 << len(seps)) - 1
-    separator = mode == _MODE_SEPARATOR
-    kill = []
-    for u in words:
-        mask = 0
-        for t, S in enumerate(seps):
-            if (S & u if separator else S & ~u) == 0:
-                mask |= 1 << t
-        kill.append(mask)
-    if separator:
-        keep = tuple(tuple(full & ~kill[x ^ w] for x in words) for w in words)
-        init = (full,) * (1 << m)
-    else:
-        keep = tuple((full & ~kill[w],) * (1 << m) for w in words)
-        init = tuple(kill)  # witnesses must sit inside the member itself
-    return keep, init
+    # kill[u]: the witnesses disjoint from u
+    kill = [sum(1 << t for t, S in enumerate(seps) if not S & u) for u in words]
+    keep = tuple(tuple(full & ~kill[x ^ w] for x in words) for w in words)
+    own = tuple(kill[w ^ words[-1]] for w in words)  # disjoint from w's complement
+    return keep, full, own
 
 
 class _Budget:
@@ -230,16 +226,19 @@ class _DFS:
                 return
 
 
-def _search(m, k, mode, group, target, budget):
+def _search(m, k, group, target, budget, words=None, owned=False):
     """Run the DFS from the empty family under ``budget``, a _Budget.
 
-    Returns (members, exhausted, nodes): members is the first optimum in
-    DFS order (the best so far on expiry), or with a target the first
-    family of that size, None if there is none.
+    The candidates are ``words`` (by default every word of the m-ground),
+    each starting with every witness, or with only those inside it when
+    ``owned``.  Returns (members, exhausted, nodes): members is the first
+    optimum in DFS order (the best so far on expiry), or with a target the
+    first family of that size, None if there is none.
     """
-    keep, init = _witness_tables(m, k, mode)
+    keep, full, own = _witness_tables(m, k)
+    words = range(1 << m) if words is None else words
     dfs = _DFS(keep, m, group, target, budget)
-    dfs.run([], [], [(w, init[w]) for w in range(1 << m) if init[w]])
+    dfs.run([], [], [(w, own[w] if owned else full) for w in words])
     members = dfs.best_members if target is None else dfs.found
     return members, not budget.expired, dfs.nodes
 
@@ -257,9 +256,7 @@ def max_nice_size(
     """
     _check_mk(m, k, m_cap=6)
     group = PERMUTATIONS_AND_SWITCHING if use_symmetry else None
-    members, exhausted, nodes = _search(
-        m, k, _MODE_SEPARATOR, group, None, _Budget(budget_ms)
-    )
+    members, exhausted, nodes = _search(m, k, group, None, _Budget(budget_ms))
     return SearchReport(
         len(members), Family(m, members), exhausted, nodes, wall_budget_ms=budget_ms
     )
@@ -283,7 +280,7 @@ def exists_nice_of_size(
 
 
 def _exists(m, k, target_n, group, budget) -> ExistenceResult:
-    members, exhausted, nodes = _search(m, k, _MODE_SEPARATOR, group, target_n, budget)
+    members, exhausted, nodes = _search(m, k, group, target_n, budget)
     return ExistenceResult(
         None if members is None else Family(m, members), exhausted, nodes
     )
@@ -342,9 +339,7 @@ def max_unique_subset_family(
     """
     _check_mk(m, k, m_cap=5)
     group = PERMUTATIONS_ONLY if use_symmetry else None
-    members, exhausted, nodes = _search(
-        m, k, _MODE_OWNED_SUBSET, group, None, _Budget(budget_ms)
-    )
+    members, exhausted, nodes = _search(m, k, group, None, _Budget(budget_ms), owned=True)
     return SearchReport(
         len(members), Family(m, members), exhausted, nodes, wall_budget_ms=budget_ms
     )
@@ -355,26 +350,25 @@ def max_pair_family(m: int, k: int) -> SearchReport:
     Sperner separators of size <= k.
 
     Keys constrain nothing across groups, so the optimum decomposes as an
-    independent maximum antichain per key.  Each runs on the search DFS with
-    one witness per member, which survives exactly when the added word is
-    incomparable with the member.
+    independent maximum antichain per key.  Each is an owned-subset search
+    over the separators carrying the key: a separator owns itself, so it
+    keeps a witness exactly while it is incomparable with the others.
     """
     if not 1 <= k <= 2:
         raise ValueError(f"k must be 1 or 2, got {k}")
     if not 1 <= m <= 6:
         raise CapacityError(f"m must be in 1..6, got {m}")
     words = range(1 << m)
-    keep = [[int(bool(w & ~x and x & ~w)) for x in words] for w in words]
     budget = _Budget(None)
     nodes = 0
     pairs: list[SeparatorWitness] = []
     for key in words:
         if key.bit_count() > k:
             continue
-        dfs = _DFS(keep, m, None, None, budget)
-        dfs.run([], [], [(S, 1) for S in words if S & key == key and S.bit_count() <= k])
-        nodes += dfs.nodes
-        pairs.extend(SeparatorWitness(S, key) for S in dfs.best_members)
+        seps = [S for S in words if S & key == key and S.bit_count() <= k]
+        members, _, n = _search(m, k, None, None, budget, words=seps, owned=True)
+        nodes += n
+        pairs.extend(SeparatorWitness(S, key) for S in members)
     return SearchReport(len(pairs), None, True, nodes, example_pairs=tuple(pairs))
 
 

@@ -125,25 +125,34 @@ def is_k_hypercompletely_separating(f: Family, k: int) -> Certificate:
     element with no witness.
     """
     _require_k(k)
-    nm = len(f.members)
+    ws = f.members
     wit = []
     for v in range(f.ground_size):
         target = 1 << v
-        found = None
-        for size in range(1, min(k, nm) + 1):
-            for idxs in combinations(range(nm), size):
-                acc = f.members[idxs[0]]
-                for t in idxs[1:]:
-                    acc &= f.members[t]
-                if acc == target:
-                    found = idxs
-                    break
-            if found is not None:
-                break
+        # Only members holding v can take part, and when all of them meet in
+        # more than v, so does every subfamily of them.
+        holders = [i for i, w in enumerate(ws) if w & target]
+        common = -1
+        for i in holders:
+            common &= ws[i]
+        found = _least_subfamily(ws, holders, k, target) if common == target else None
         if found is None:
             return Certificate(HYPERCOMPLETELY, False, k=k, failure=v)
         wit.append(found)
     return Certificate(HYPERCOMPLETELY, True, k=k, witnesses=tuple(wit))
+
+
+def _least_subfamily(ws, holders, k, target):
+    """The first tuple of at most k indices from ``holders``, in (size,
+    index) order, whose members intersect in exactly ``target``, or None."""
+    for size in range(1, min(k, len(holders)) + 1):
+        for idxs in combinations(holders, size):
+            acc = ws[idxs[0]]
+            for t in idxs[1:]:
+                acc &= ws[t]
+            if acc == target:
+                return idxs
+    return None
 
 
 def _candidates(m: int, k: int, drawn: list[int]):
@@ -322,15 +331,11 @@ def recheck_certificate(f: Family, cert: Certificate) -> bool:
             if acc != 1 << v:
                 return False
         return True
-    if cert.prop == NICE:
-        return len(cert.witnesses) == len(f.members) and all(
-            check_separator_witness(f, i, w, cert.k)
+    if cert.prop in (NICE, HYPERSEPARATING):
+        # a hyperseparating certificate is the nice certificate of the dual
+        d = f if cert.prop == NICE else dual(f)
+        return len(cert.witnesses) == len(d.members) and all(
+            check_separator_witness(d, i, w, cert.k)
             for i, w in enumerate(cert.witnesses)
-        )
-    if cert.prop == HYPERSEPARATING:
-        d = dual(f)
-        return len(cert.witnesses) == f.ground_size and all(
-            check_separator_witness(d, v, w, cert.k)
-            for v, w in enumerate(cert.witnesses)
         )
     raise ValueError(f"unknown certificate property {cert.prop!r}")

@@ -16,6 +16,7 @@ from sepsys.cli import (
     emit_family,
     main,
     parse_family,
+    parse_family_json,
     parse_family_text,
 )
 
@@ -65,6 +66,20 @@ def test_parse_errors_name_the_problem():
         parse_family("2 2\n01")
     with pytest.raises(ValueError, match="empty"):
         parse_family("   ")
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        parse_family_json("[]")  # parse_family reads this as the text format
+    with pytest.raises(ValueError, match="needs 'ground_size' and 'sets'"):
+        parse_family('{"ground_size":1}')
+    with pytest.raises(ValueError, match="'ground_size' must be an integer"):
+        parse_family('{"ground_size":true,"sets":[]}')
+    with pytest.raises(ValueError, match="'sets' must be a list of index lists"):
+        parse_family('{"ground_size":1,"sets":[0]}')
+    with pytest.raises(ValueError, match="member 1: index '0' is not an integer"):
+        parse_family('{"ground_size":1,"sets":[[0],["0"]]}')
+    with pytest.raises(ValueError, match="line 1: expected 'm n'"):
+        parse_family("2\n01")
+    with pytest.raises(ValueError, match="line 1: expected two integers"):
+        parse_family("2 x\n01")
 
 
 def test_witness_attachment_shape():
@@ -111,6 +126,21 @@ def test_verify_hcs_construction(capsys, monkeypatch):
         capsys, ["verify", "--property", "hcs", "--k", "2"], doc, monkeypatch
     )
     assert code == EXIT_OK and "PASS" in out
+
+
+def test_verify_hcs_duplicates_fail_promptly():
+    # 28 copies of {0,1}: no subfamily isolates 0, which the members holding
+    # 0 already show; trying every subfamily of up to 12 copies took minutes
+    doc = json.dumps({"ground_size": 2, "sets": [[0, 1]] * 28})
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepsys.cli", "verify", "--property", "hcs", "--k", "12"],
+        input=doc, capture_output=True, text=True, env=_cli_env(), timeout=10,
+    )
+    seconds = time.monotonic() - t0
+    assert proc.returncode == EXIT_FAIL, proc.stderr
+    assert "counterexample 0" in proc.stdout
+    assert seconds < 1, f"verify took {seconds:.1f}s"
 
 
 def test_verify_requires_k(capsys, monkeypatch):
@@ -335,14 +365,15 @@ def test_search_deterministic_output(capsys):
     assert c[1].splitlines()[0] == a[1].splitlines()[0]  # same value, same line
 
 
-def test_search_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("SEPSYS_BUDGET_MS", "0")
-    code, out, _ = run(capsys, ["search", "--problem", "g", "--m", "5", "--k", "2"])
+def test_search_budget_env(capsys):
+    code, out, _ = run(
+        capsys, ["search", "--problem", "g", "--m", "5", "--k", "2", "--budget-ms", "0"]
+    )
     assert code == EXIT_OK
     assert "budget-exhausted" in out
 
 
-def test_search_usage_errors(capsys, monkeypatch):
+def test_search_usage_errors(capsys):
     code, _, err = run(capsys, ["search", "--problem", "g"])
     assert code == EXIT_USAGE and "--m is required" in err
     code, out, err = run(capsys, ["search", "--problem", "exists", "--m", "4"])
@@ -351,11 +382,8 @@ def test_search_usage_errors(capsys, monkeypatch):
     code, out, err = run(capsys, ["search", "--problem", "min-m", "--n", "5", "--m-max", "-1"])
     assert code == EXIT_USAGE and out == "" and "m must be >= 0, got -1" in err
     assert "shift" not in err
-    # a negative budget is refused, from the flag and from the environment
+    # a negative budget is refused
     code, out, err = run(capsys, ["search", "--problem", "g", "--m", "3", "--budget-ms", "-1"])
-    assert code == EXIT_USAGE and out == "" and "error: a budget must be >= 0 ms, got -1" in err
-    monkeypatch.setenv("SEPSYS_BUDGET_MS", "-1")
-    code, out, err = run(capsys, ["search", "--problem", "g", "--m", "3"])
     assert code == EXIT_USAGE and out == "" and "error: a budget must be >= 0 ms, got -1" in err
 
 
@@ -576,9 +604,7 @@ def _cli_env():
     import sepsys
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sepsys.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("SEPSYS_BUDGET_MS", None)
-    return env
+    return dict(os.environ, PYTHONPATH=src)
 
 
 def test_cli_import_loads_no_introspection_modules():

@@ -301,6 +301,10 @@ PINNED_REPORTS = {
         lambda: max_unique_subset_family(5, 2),
         (10, (3, 5, 6, 9, 10, 12, 17, 18, 20, 24), True),
     ),
+    "unique(5,3)": (
+        lambda: max_unique_subset_family(5, 3),
+        (10, (3, 5, 6, 9, 10, 12, 17, 18, 20, 24), True),
+    ),
     "g(5,3)": (
         lambda: max_nice_size(5, 3),
         (20, (0, 1, 2, 4, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 27, 29, 30, 31), True),
@@ -351,6 +355,10 @@ PINNED_NODES = {
     "g(5,2)": (lambda: max_nice_size(5, 2), 113),
     "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 99),
     "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 40),
+    "unique(5,3)": (lambda: max_unique_subset_family(5, 3), 46),
+    "unique(5,2)-nosym": (lambda: max_unique_subset_family(5, 2, use_symmetry=False), 160),
+    "pair-family(6,2)": (lambda: max_pair_family(6, 2), 164),
+    "pair-family(4,2)": (lambda: max_pair_family(4, 2), 48),
     "g(6,1)": (lambda: max_nice_size(6, 1), 15),
     "g(5,3)": (lambda: max_nice_size(5, 3), 3285),
     "g(6,2)": (lambda: max_nice_size(6, 2), 4647),

@@ -436,6 +436,42 @@ def test_certificate_soundness_on_random_passes():
     assert checked > 500
 
 
+# Every check of a certificate's rows, each failed by one edit of a good one.
+_TAMPER_FAMILY = new_family(3, [[0], [1], [2], [0, 1], [0, 2]])
+_CS_ROWS = (((1, 0), (2, 0)), ((0, 1), (2, 1)), ((0, 2), (1, 2)))
+_HCS_ROWS = ((0,), (1,), (2,))
+
+
+@pytest.mark.parametrize(
+    "prop, k, rows",
+    [
+        (verify.COMPLETELY_SEPARATING, None, _CS_ROWS[:2]),
+        (verify.COMPLETELY_SEPARATING, None, (((1, 2), (2, 0)),) + _CS_ROWS[1:]),
+        (verify.COMPLETELY_SEPARATING, None, (((1, 3), (2, 0)),) + _CS_ROWS[1:]),
+        (verify.COMPLETELY_SEPARATING, None, (((1, 0),),) + _CS_ROWS[1:]),
+        (verify.HYPERCOMPLETELY, 2, _HCS_ROWS[:2]),
+        (verify.HYPERCOMPLETELY, 2, ((0, 0),) + _HCS_ROWS[1:]),
+        (verify.HYPERCOMPLETELY, 2, ((0, 3, 4),) + _HCS_ROWS[1:]),
+        (verify.HYPERCOMPLETELY, 2, ((3,),) + _HCS_ROWS[1:]),
+    ],
+    ids=[
+        "cs-row-count", "cs-member-lacks-v", "cs-member-holds-v2", "cs-missing-v2",
+        "hcs-row-count", "hcs-duplicate-index", "hcs-too-many", "hcs-wrong-intersection",
+    ],
+)
+def test_recheck_rejects_tampered_certificates(prop, k, rows):
+    f = _TAMPER_FAMILY
+    assert recheck_certificate(f, is_completely_separating(f))
+    assert recheck_certificate(f, is_k_hypercompletely_separating(f, 2))
+    assert is_completely_separating(f).witnesses == _CS_ROWS
+    assert is_k_hypercompletely_separating(f, 2).witnesses == _HCS_ROWS
+    assert recheck_certificate(f, verify.Certificate(prop, True, k=k, witnesses=rows)) is False
+    with pytest.raises(ValueError, match="successful"):
+        recheck_certificate(f, verify.Certificate(prop, False, k=k, failure=0))
+    with pytest.raises(ValueError, match="unknown certificate property"):
+        recheck_certificate(f, verify.Certificate("tampered", True, k=k, witnesses=rows))
+
+
 def test_empty_family_conventions():
     # no witness subfamily exists for the hyper properties on a real ground,
     # but a lone dual member still has the vacuous empty separator
