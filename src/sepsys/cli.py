@@ -358,7 +358,7 @@ def cmd_table(args) -> int:
         line = f"{n:>3}  {f2:>2}  [{pair.lower} ≤ {f2} ≤ {pair.upper}]"
         if n <= check_up_to:
             # best is set only once every lower m was proven empty
-            rep = search.min_m_hyperseparating(n, 2, 6, budget)
+            rep = search.min_m_hyperseparating(n, 2, search.SEARCH_MAX_GROUND, budget)
             _self_check("hs", rep.example, 2, f"table row {n}")
             mark = "✓" if rep.best == f2 else "✗"
             if rep.best != f2:
@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--m-max", type=int, default=6)
+    sp.add_argument("--m-max", type=int, default=search.SEARCH_MAX_GROUND)
     sp.add_argument("--budget-ms", type=int)
     sp.add_argument("--no-symmetry", action="store_true")
     common(sp)

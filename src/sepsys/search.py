@@ -17,7 +17,9 @@ witnesses, and its candidate list holds only words that keep a witness of
 their own and leave every member one.  Masks only shrink as members are
 added, so a word that fails this test fails it in every descendant; it is
 dropped when the child's list is built, and the cardinality bound
-``size + candidates`` counts only addable words.
+``size + candidates`` counts only addable words.  The witnesses and their
+masks come from ``verify.separator_table``, which owns the table that
+``is_nice`` reads too.
 
 Nice families start every word with every witness.  A member that must own
 a subset T of itself, contained in no other member, starts with the
@@ -51,8 +53,10 @@ from .core import (
     is_canonical,
 )
 from .core import Value, _set
+from .verify import separator_table
 
 SYMMETRY_DEPTH = 5  # measured: depth 4 visits 3.5x the nodes, depth 6 doubles cold g(6,2)
+SEARCH_MAX_GROUND = 6  # the largest m any search accepts
 
 
 class SearchReport(Value):
@@ -99,21 +103,21 @@ class ExistenceResult(Value):
 
 @lru_cache(maxsize=None)
 def _witness_tables(m: int, k: int):
-    """The witness table of the m-ground and its two starting masks.
+    """The witness table of the m-ground and its two starting masks, read
+    off ``verify.separator_table``.
 
     Witnesses are all words of at most k bits.  ``keep[w][x]`` is the mask
     of member x's witnesses that survive when member w is added: those that
-    intersect x ^ w.  ``full`` holds every witness and ``own[w]`` those
-    inside w.  On a mask inside ``own[x]``, ``keep[w][x]`` kills exactly the
-    witnesses contained in w, so owned subsets need no table of their own.
+    meet x ^ w.  ``full`` holds every witness and ``own[w]`` those inside w,
+    i.e. disjoint from its complement.  On a mask inside ``own[x]``,
+    ``keep[w][x]`` kills exactly the witnesses contained in w, so owned
+    subsets need no table of their own.
     """
+    seps, meet = separator_table(m, k)
     words = range(1 << m)
-    seps = [w for w in words if w.bit_count() <= k]
     full = (1 << len(seps)) - 1
-    # kill[u]: the witnesses disjoint from u
-    kill = [sum(1 << t for t, S in enumerate(seps) if not S & u) for u in words]
-    keep = tuple(tuple(full & ~kill[x ^ w] for x in words) for w in words)
-    own = tuple(kill[w ^ words[-1]] for w in words)  # disjoint from w's complement
+    keep = tuple(tuple(meet[x ^ w] for x in words) for w in words)
+    own = tuple(full & ~meet[w ^ words[-1]] for w in words)
     return keep, full, own
 
 
@@ -254,7 +258,7 @@ def max_nice_size(
 
     The example is the lexicographically least optimum visited.
     """
-    _check_mk(m, k, m_cap=6)
+    _check_mk(m, k, m_cap=SEARCH_MAX_GROUND)
     group = PERMUTATIONS_AND_SWITCHING if use_symmetry else None
     members, exhausted, nodes = _search(m, k, group, None, _Budget(budget_ms))
     return SearchReport(
@@ -270,7 +274,7 @@ def exists_nice_of_size(
     use_symmetry: bool = True,
 ) -> ExistenceResult:
     """Decision form of max_nice_size with early exit on the first witness."""
-    _check_mk(m, k, m_cap=6)
+    _check_mk(m, k, m_cap=SEARCH_MAX_GROUND)
     if target_n < 0:
         raise ValueError(f"target_n must be >= 0, got {target_n}")
     if target_n > 1 << m:
@@ -300,7 +304,7 @@ def min_m_hyperseparating(
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    _check_mk(m_max, k, m_cap=6)  # before 1 << m_max, and before any level runs
+    _check_mk(m_max, k, m_cap=SEARCH_MAX_GROUND)  # before 1 << m_max, and before any level runs
     if n > 1 << m_max:
         raise ValueError(f"n = {n} exceeds 2^m_max = {1 << m_max}")
     budget = _Budget(budget_ms)  # one deadline for every level
@@ -337,6 +341,9 @@ def max_unique_subset_family(
     Symmetry reduction uses relabelings only; switching does not preserve
     the ownership property.
     """
+    # Not a cost limit: measured at m = 6, k = 1..3 exhausts in 37-879 nodes
+    # and at most 30 ms, at C(6, k'(6, k)).  It stays one below
+    # SEARCH_MAX_GROUND only because raising a public cap is its own change.
     _check_mk(m, k, m_cap=5)
     group = PERMUTATIONS_ONLY if use_symmetry else None
     members, exhausted, nodes = _search(m, k, group, None, _Budget(budget_ms), owned=True)
@@ -356,8 +363,8 @@ def max_pair_family(m: int, k: int) -> SearchReport:
     """
     if not 1 <= k <= 2:
         raise ValueError(f"k must be 1 or 2, got {k}")
-    if not 1 <= m <= 6:
-        raise CapacityError(f"m must be in 1..6, got {m}")
+    if not 1 <= m <= SEARCH_MAX_GROUND:
+        raise CapacityError(f"m must be in 1..{SEARCH_MAX_GROUND}, got {m}")
     words = range(1 << m)
     budget = _Budget(None)
     nodes = 0

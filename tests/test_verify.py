@@ -1,17 +1,20 @@
 """Oracles and certificates for the separation properties."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from sepsys import (
+    CapacityError,
     Family,
     SeparatorWitness,
     binary_separating,
     check_separator_witness,
     dual,
     find_separator,
+    hyperseparating_minimal_2,
     is_completely_separating,
     is_k_hypercompletely_separating,
     is_k_hyperseparating,
@@ -256,6 +259,106 @@ def test_separator_scan_draws_only_the_sets_it_reaches(monkeypatch):
     assert drawn == [0, 1]
 
 
+@pytest.mark.parametrize("m", range(6))
+def test_separator_table_matches_brute_force(m):
+    for k in range(1, m + 2):
+        seps, meet = verify.separator_table(m, k)
+        small = [S for S in range(1 << m) if S.bit_count() <= k]
+        assert seps == tuple(sorted(small, key=lambda S: (S.bit_count(), S))), (m, k)
+        assert meet == tuple(
+            sum(1 << t for t, S in enumerate(seps) if S & d) for d in range(1 << m)
+        ), (m, k)
+
+
+def test_separator_table_range():
+    cap = verify.SEPARATOR_TABLE_MAX_GROUND
+    with pytest.raises(CapacityError):
+        verify.separator_table(cap + 1, 2)
+    with pytest.raises(CapacityError):
+        verify.separator_table(-1, 2)
+    with pytest.raises(ValueError):
+        verify.separator_table(3, 0)
+    # k >= m shares one table
+    assert verify.separator_table(4, 9) is verify.separator_table(4, 4)
+
+
+def _certificates(families):
+    """is_nice, every find_separator and is_k_hyperseparating of each
+    (family, k) pair, for comparing the table path with the scan."""
+    out = []
+    for d, k in families:
+        nice = is_nice(d, k)
+        seps = [find_separator(d, i, k) for i in range(len(d.members))]
+        out.append((nice, seps, is_k_hyperseparating(d, k)))
+    return out
+
+
+def test_separator_table_path_equals_scan(monkeypatch):
+    cap = verify.SEPARATOR_TABLE_MAX_GROUND
+    rng = random.Random(411)
+    cases = []
+    for m in (0, 1, 2, 5, cap):
+        for k in (1, 2, m, m + 1):
+            if k >= 1:
+                cases += [(Family(m, ()), k), (Family(m, (rng.randrange(1 << m),)), k)]
+    for _ in range(1500):
+        m = rng.choice((rng.randint(0, cap), cap))
+        ws = [rng.randrange(1 << m) for _ in range(rng.randint(2, 14))]
+        if rng.random() < 0.3:
+            ws.insert(rng.randrange(len(ws) + 1), rng.choice(ws))
+        k = rng.choice((1, 2, 2, 3, max(m, 1), m + 2))
+        cases.append((Family(m, tuple(ws)), k))
+    # nice duals at and below the cap, so the table path is tried on passes too
+    for n in (6, 12, 30, 60):
+        cases.append((dual(hyperseparating_minimal_2(n)), 2))
+    table = _certificates(cases)
+    assert sum(bool(nice) for nice, _, _ in table) > 300
+    assert sum(not nice and nice.failure > 0 for nice, _, _ in table) > 300
+    monkeypatch.setattr(verify, "SEPARATOR_TABLE_MAX_GROUND", -1)  # every ground scans
+    assert _certificates(cases) == table
+
+
+def test_separator_table_not_built_above_cap(monkeypatch):
+    cap = verify.SEPARATOR_TABLE_MAX_GROUND
+    rng = random.Random(7)
+    families = [
+        Family(cap + 1, tuple(rng.randrange(1 << (cap + 1)) for _ in range(rng.randint(0, 12))))
+        for _ in range(40)
+    ]
+    families.append(Family(cap + 1, (3, 3, 5)))
+    want = [
+        [_reference_separator(d, i, 2) for i in range(len(d.members))] for d in families
+    ]
+
+    def refuse(m, k):
+        raise AssertionError(f"separator table built for m = {m}")
+
+    monkeypatch.setattr(verify, "separator_table", refuse)
+    for d, seps in zip(families, want):
+        assert [find_separator(d, i, 2) for i in range(len(d.members))] == seps
+        cert = is_nice(d, 2)
+        if None in seps:
+            assert not cert and cert.failure == seps.index(None)
+        else:
+            assert cert.witnesses == tuple(seps)
+
+
+# Measured minimum of five cold builds at the cap (m = 12, one core, CPython
+# 3.11): 0.6-0.8 ms for k = 2 and 4.6-6.6 ms for k = 12.  The bounds are
+# about twice that, so a larger cap or a slower build shows here.
+@pytest.mark.parametrize("k, bound_ms", [(2, 1.5), (verify.SEPARATOR_TABLE_MAX_GROUND, 13.0)])
+def test_separator_table_build_time_at_cap(k, bound_ms):
+    cap = verify.SEPARATOR_TABLE_MAX_GROUND
+    best = float("inf")
+    for _ in range(5):
+        verify._separator_table.cache_clear()
+        t0 = time.perf_counter()
+        verify.separator_table(cap, k)
+        best = min(best, time.perf_counter() - t0)
+    verify._separator_table.cache_clear()
+    assert best * 1e3 < bound_ms, f"m = {cap}, k = {k}: {best * 1e3:.2f} ms"
+
+
 # --- is_nice -----------------------------------------------------------------
 
 
@@ -453,10 +556,15 @@ _HCS_ROWS = ((0,), (1,), (2,))
         (verify.HYPERCOMPLETELY, 2, ((0, 0),) + _HCS_ROWS[1:]),
         (verify.HYPERCOMPLETELY, 2, ((0, 3, 4),) + _HCS_ROWS[1:]),
         (verify.HYPERCOMPLETELY, 2, ((3,),) + _HCS_ROWS[1:]),
+        (verify.COMPLETELY_SEPARATING, None, (((1, 9), (2, 0)),) + _CS_ROWS[1:]),
+        (verify.COMPLETELY_SEPARATING, None, (((-1, 0), (2, 0)),) + _CS_ROWS[1:]),
+        (verify.HYPERCOMPLETELY, 2, ((-5,),) + _HCS_ROWS[1:]),
+        (verify.HYPERCOMPLETELY, 2, ((9,),) + _HCS_ROWS[1:]),
     ],
     ids=[
         "cs-row-count", "cs-member-lacks-v", "cs-member-holds-v2", "cs-missing-v2",
         "hcs-row-count", "hcs-duplicate-index", "hcs-too-many", "hcs-wrong-intersection",
+        "cs-index-past-end", "cs-negative-v2", "hcs-negative-index", "hcs-index-past-end",
     ],
 )
 def test_recheck_rejects_tampered_certificates(prop, k, rows):
