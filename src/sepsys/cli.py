@@ -84,10 +84,13 @@ def parse_family_text(text: str) -> Family:
         m, n = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError(f"line 1: expected two integers, got {lines[0]!r}") from None
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} member rows, got {len(lines) - 1}")
+    body = lines[1:]
+    if m == 0 and not body:
+        body = [""] * n  # ground-0 member rows are blank, and were dropped above
+    if len(body) != n:
+        raise ValueError(f"expected {n} member rows, got {len(body)}")
     rows = []
-    for t, ln in enumerate(lines[1:], start=2):
+    for t, ln in enumerate(body, start=2):
         if len(ln) != m or any(c not in "01" for c in ln):
             raise ValueError(f"line {t}: expected {m} characters of 0/1, got {ln!r}")
         rows.append([i for i, c in enumerate(ln) if c == "1"])
@@ -305,12 +308,13 @@ def cmd_search(args) -> int:
         elif not res.exhausted:
             return EXIT_FAIL
     elif problem == "min-m":
-        rep = search.min_m_hyperseparating(args.n, k, args.m_max, budget)
+        m_max = args.m_max if args.m_max is not None else search.SEARCH_MAX_GROUND
+        rep = search.min_m_hyperseparating(args.n, k, m_max, budget)
         _self_check("hs", rep.example, k, "search example")
         for m, status in rep.levels or ():
             print(f"  m={m}: {status}")
         if rep.best is None:
-            print(f"f({args.n},{k}) not found up to m_max={args.m_max} ({_status(rep.exhausted)})")
+            print(f"f({args.n},{k}) not found up to m_max={m_max} ({_status(rep.exhausted)})")
             print(f"nodes: {rep.nodes_visited}")
             # a proven absence is a definitive answer; only an expired budget fails
             return EXIT_OK if rep.exhausted else EXIT_FAIL
@@ -404,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--m-max", type=int, default=search.SEARCH_MAX_GROUND)
+    sp.add_argument("--m-max", type=int)
     sp.add_argument("--budget-ms", type=int)
     sp.add_argument("--no-symmetry", action="store_true")
     common(sp)

@@ -55,6 +55,34 @@ def test_parse_emit_text_roundtrip():
     assert parse_family_text(text) == f
 
 
+@pytest.mark.parametrize("members", [(), (0,), (0, 0, 0)])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_ground_0_roundtrip(fmt, members):
+    # a ground-0 member is an empty row, which the text format cannot tell
+    # from a blank line, so the header alone gives the member count
+    f = Family(0, members)
+    text = emit_family(f, fmt)
+    assert parse_family(text) == f
+    assert parse_family(text + "\n") == f  # as printed
+
+
+def test_ground_0_rows_must_be_blank():
+    with pytest.raises(ValueError, match="expected 2 member rows, got 1"):
+        parse_family("0 2\n01")
+    with pytest.raises(ValueError, match="line 2: expected 0 characters of 0/1, got '1'"):
+        parse_family("0 1\n1")
+    with pytest.raises(ValueError, match="expected -1 member rows, got 0"):
+        parse_family("0 -1")
+
+
+def test_ground_0_text_pipes_back(capsys, monkeypatch):
+    doc = '{"ground_size":2,"sets":[]}\n'
+    code, text, _ = run(capsys, ["dual", "--format", "text"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, text) == (EXIT_OK, "0 2\n\n\n")
+    code, out, err = run(capsys, ["dual"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (EXIT_OK, doc, "")
+
+
 def test_parse_errors_name_the_problem():
     with pytest.raises(ValueError, match="index 1"):
         parse_family('{"ground_size":1,"sets":[[1]]}')
@@ -617,6 +645,73 @@ def test_cli_import_loads_no_introspection_modules():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the layer probe runs one command in a fresh interpreter and prints its exit
+# code and the layers that were executed; type() does not go through a lazy
+# module's attribute lookup, so the probe itself loads nothing
+_LAYER_PROBE = """
+import contextlib, io, json, sys, types
+import sepsys.cli
+sys.stdin = io.StringIO({stdin!r})
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        rc = sepsys.cli.main({argv!r})
+    except SystemExit as e:
+        rc = e.code
+print(json.dumps([rc, sorted(
+    name[len("sepsys."):] for name, mod in sys.modules.items()
+    if name.startswith("sepsys.") and type(mod) is types.ModuleType
+)]))
+"""
+_DOC = '{"ground_size":3,"sets":[[0],[1],[0,2]]}'
+
+
+_LAYER_CASES = [
+    (["canon"], _DOC, ["cli", "core"]),
+    (["verify", "--property", "separating"], _DOC, ["cli", "core", "verify"]),
+    (["construct", "--kind", "binary", "--n", "5"], "",
+     ["bounds", "cli", "construct", "core", "verify"]),
+    (["bounds", "--n", "10"], "", ["bounds", "cli", "core"]),
+    (["search", "--problem", "exists", "--m", "4", "--n", "5"], "",
+     ["cli", "core", "search", "verify"]),
+    (["table", "--n-max", "8"], "", ["bounds", "cli", "core"]),
+    (["table", "--n-max", "8", "--check-search-up-to", "4"], "",
+     ["bounds", "cli", "core", "search", "verify"]),
+    (["--help"], "", ["cli", "core"]),
+    (["search", "--help"], "", ["cli", "core"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, layers", _LAYER_CASES, ids=["_".join(c[0]) for c in _LAYER_CASES]
+)
+def test_cli_command_executes_only_its_layers(argv, stdin, layers):
+    # a fresh interpreter compiles every layer it executes, which is a large
+    # share of a short command's wall time
+    code = _LAYER_PROBE.format(argv=argv, stdin=stdin)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout) == [EXIT_OK, layers]
+
+
+def test_traced_benchmark_child_runs_canon(tmp_path):
+    # the benchmark runs traced commands through perfbench/cli_child.py, which
+    # wraps each layer's functions, read through sys.modules
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spans_path = tmp_path / "spans.json"
+    env = dict(_cli_env(), PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ as it is
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "cli_child.py"), str(spans_path),
+         env["PYTHONPATH"], "canon"],
+        input=_DOC, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == '{"ground_size":3,"sets":[[],[0],[1,2]]}\n'
+    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    assert {"cli.main.canon", "core.canonical_form", "cli.emit_family"} <= names
 
 
 def test_module_entry_point_exit_codes(tmp_path):
