@@ -74,23 +74,25 @@ def parse_family_json(text: str) -> Family:
 
 
 def parse_family_text(text: str) -> Family:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    # (document line number, stripped line) of each non-blank line
+    lines = [(t, ln) for t, ln in enumerate((raw.strip() for raw in text.splitlines()), 1) if ln]
     if not lines:
         raise ValueError("empty input document")
-    head = lines[0].split()
+    t, ln = lines[0]
+    head = ln.split()
     if len(head) != 2:
-        raise ValueError(f"line 1: expected 'm n', got {lines[0]!r}")
+        raise ValueError(f"line {t}: expected 'm n', got {ln!r}")
     try:
         m, n = int(head[0]), int(head[1])
     except ValueError:
-        raise ValueError(f"line 1: expected two integers, got {lines[0]!r}") from None
+        raise ValueError(f"line {t}: expected two integers, got {ln!r}") from None
     body = lines[1:]
     if m == 0 and not body:
-        body = [""] * n  # ground-0 member rows are blank, and were dropped above
+        body = [(t, "")] * n  # ground-0 member rows are blank, and were dropped above
     if len(body) != n:
         raise ValueError(f"expected {n} member rows, got {len(body)}")
     rows = []
-    for t, ln in enumerate(body, start=2):
+    for t, ln in body:
         if len(ln) != m or any(c not in "01" for c in ln):
             raise ValueError(f"line {t}: expected {m} characters of 0/1, got {ln!r}")
         rows.append([i for i, c in enumerate(ln) if c == "1"])

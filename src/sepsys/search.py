@@ -28,10 +28,21 @@ pair family is, per key, such a search over separators of at most k
 elements; each owns itself, so it keeps a witness while it is incomparable
 with every other member.
 
-The bound is tested in the parent's candidate loop, before a child is
-expanded (Carraghan & Pardalos 1990): a child that cannot beat the best
-(or reach the target) is never built, and building stops as soon as
-enough later words have been dropped to make it hopeless.
+A second bound is the paper's count behind g(m,2) <= C(m,2): each member
+needs a (witness, key) pair of its own.  A pair (S, key) is free while no
+member's key on S equals it.  A word added below a node ends with a
+witness S on which its key y & S is its own, so that pair is free at the
+node, held by one of its candidates, and held by no other added word.  A
+node therefore carries ``used``, the pairs its members hold, and
+``reach``, the pairs its candidates hold; a child w needs as many more
+words as there are free pairs in ``reach`` that w does not take.  An
+owned witness T is the pair (T, T), so the count holds in every mode.
+
+Both bounds are tested in the parent's candidate loop, before a child is
+expanded (Carraghan & Pardalos 1990), and the pair count before its
+canonical-prefix test: a child that cannot beat the best (or reach the
+target) is never built, and building stops as soon as enough later words
+have been dropped to make it hopeless.
 
 Reports are deterministic: one DFS walks the whole tree with a best size
 shared by every branch, and cuts a branch only when it cannot beat that
@@ -103,8 +114,8 @@ class ExistenceResult(Value):
 
 @lru_cache(maxsize=None)
 def _witness_tables(m: int, k: int):
-    """The witness table of the m-ground and its two starting masks, read
-    off ``verify.separator_table``.
+    """The witness table of the m-ground, its two starting masks and the
+    pair masks, read off ``verify.separator_table``.
 
     Witnesses are all words of at most k bits.  ``keep[w][x]`` is the mask
     of member x's witnesses that survive when member w is added: those that
@@ -112,13 +123,32 @@ def _witness_tables(m: int, k: int):
     i.e. disjoint from its complement.  On a mask inside ``own[x]``,
     ``keep[w][x]`` kills exactly the witnesses contained in w, so owned
     subsets need no table of their own.
+
+    A pair is a witness S with a key, a subset of S; each witness owns a
+    run of 2^|S| bits, in table order, one per key.  ``pairs[w]`` holds the
+    pair (S, w & S) of every witness S, so two words share the bit of S
+    exactly when their keys on S are equal.
     """
     seps, meet = separator_table(m, k)
     words = range(1 << m)
     full = (1 << len(seps)) - 1
     keep = tuple(tuple(meet[x ^ w] for x in words) for w in words)
     own = tuple(full & ~meet[w ^ words[-1]] for w in words)
-    return keep, full, own
+    pairs = [0] * len(words)
+    base = 0
+    for S in seps:
+        # the bit of each key of S: its rank among the subsets of S
+        bit = {}
+        key = S
+        while True:
+            bit[key] = 1 << (base + len(bit))
+            if not key:
+                break
+            key = (key - 1) & S
+        base += len(bit)
+        for w in words:
+            pairs[w] |= bit[w & S]
+    return keep, full, own, tuple(pairs)
 
 
 class _Budget:
@@ -143,12 +173,13 @@ class _DFS:
     """
 
     __slots__ = (
-        "keep", "m", "group", "sym_depth", "target", "budget",
+        "keep", "pairs", "m", "group", "sym_depth", "target", "budget",
         "best", "best_members", "nodes", "found",
     )
 
-    def __init__(self, keep, m, group, target, budget):
+    def __init__(self, keep, pairs, m, group, target, budget):
         self.keep = keep
+        self.pairs = pairs
         self.m = m
         self.group = group
         self.sym_depth = 0 if group is None else SYMMETRY_DEPTH
@@ -159,15 +190,16 @@ class _DFS:
         self.nodes = 0
         self.found = None
 
-    def run(self, members, survs, cands):
+    def run(self, members, survs, cands, used, reach):
         """Visit the family ``members``: ``survs[i]`` is the mask of member
         i's surviving witnesses, ``cands`` the (word, witness mask) pairs
         that can be added: each keeps a witness of its own and leaves every
-        member one.
+        member one.  ``used`` is the OR of ``pairs`` over the members and
+        ``reach`` the OR over the candidates.
 
-        The cardinality bound is tested here only for the children, in the
-        candidate loop, so every visited node can beat the best (or reach
-        the target) by its own size and candidates."""
+        The bounds are tested here only for the children, in the candidate
+        loop, so every visited node can beat the best (or reach the target)
+        by its own size and candidates."""
         self.nodes += 1
         # the budget is checked on the first node, then on every 1024th
         if self.budget.expired or (self.nodes & 1023 == 1 and self.budget.check()):
@@ -181,6 +213,8 @@ class _DFS:
             self.found = tuple(members)
             return
         keep = self.keep
+        pairs = self.pairs
+        free = reach & ~used
         check_prefix = s < self.sym_depth
         last = len(cands) - 1
         for idx, (w, alive) in enumerate(cands):
@@ -193,6 +227,12 @@ class _DFS:
             slack = last - idx - need
             if slack < 0:
                 return
+            # Each word added below the child takes a free pair of its own
+            # that w does not hold (see the module docstring); the child's
+            # candidates are some of ours.
+            pw = pairs[w]
+            if (free & ~pw).bit_count() < need:
+                continue
             if check_prefix and not is_canonical((*members, w), self.m, self.group):
                 continue
             kw = keep[w]
@@ -207,6 +247,7 @@ class _DFS:
                 if ns != sv:
                     shrunk.append((x, ns))
             child = []
+            child_reach = 0
             for w2, a2 in cands[idx + 1:]:
                 a = a2 & kw[w2]
                 if a:
@@ -216,6 +257,7 @@ class _DFS:
                             break
                     else:
                         child.append((w2, a))
+                        child_reach |= pairs[w2]
                         continue
                 slack -= 1
                 if slack < 0:
@@ -224,7 +266,7 @@ class _DFS:
                 continue
             new_survs.append(alive)
             members.append(w)
-            self.run(members, new_survs, child)
+            self.run(members, new_survs, child, used | pw, child_reach)
             members.pop()
             if self.budget.expired or self.found is not None:
                 return
@@ -239,10 +281,13 @@ def _search(m, k, group, target, budget, words=None, owned=False):
     optimum in DFS order (the best so far on expiry), or with a target the
     first family of that size, None if there is none.
     """
-    keep, full, own = _witness_tables(m, k)
+    keep, full, own, pairs = _witness_tables(m, k)
     words = range(1 << m) if words is None else words
-    dfs = _DFS(keep, m, group, target, budget)
-    dfs.run([], [], [(w, own[w] if owned else full) for w in words])
+    reach = 0
+    for w in words:
+        reach |= pairs[w]
+    dfs = _DFS(keep, pairs, m, group, target, budget)
+    dfs.run([], [], [(w, own[w] if owned else full) for w in words], 0, reach)
     members = dfs.best_members if target is None else dfs.found
     return members, not budget.expired, dfs.nodes
 

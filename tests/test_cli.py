@@ -110,6 +110,22 @@ def test_parse_errors_name_the_problem():
         parse_family("2 x\n01")
 
 
+def test_parse_text_errors_count_blank_lines(capsys, monkeypatch):
+    # line numbers are the document's, blank lines included
+    with pytest.raises(ValueError, match="line 5: expected 2 characters of 0/1, got '0x'"):
+        parse_family("2 2\n\n01\n\n0x\n")
+    with pytest.raises(ValueError, match="line 3: expected 'm n'"):
+        parse_family("\n  \n2\n01")
+    with pytest.raises(ValueError, match="line 2: expected two integers"):
+        parse_family("\n2 x\n01")
+    with pytest.raises(ValueError, match="line 6: expected 2 characters of 0/1, got '012'"):
+        parse_family("\n\n2 2\n10\n\n012\n")
+    assert parse_family("\n\n2 2\n\n10\n\n01\n\n") == new_family(2, [[0], [1]])
+    code, out, err = run(capsys, ["dual"], stdin="2 2\n\n01\n\n0x\n", monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "line 5: expected 2 characters of 0/1, got '0x'" in err
+
+
 def test_witness_attachment_shape():
     from sepsys.core import SeparatorWitness
 

@@ -4,7 +4,9 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sepsys.search as search
 from sepsys import (
     CapacityError,
     binom,
@@ -25,6 +27,7 @@ from sepsys.core import (
     relabel,
     switch_set,
 )
+from sepsys.verify import separator_table
 from sepsys.search import (
     SYMMETRY_DEPTH,
     ExistenceResult,
@@ -183,16 +186,16 @@ def test_exists_nice_examples():
 
 
 def test_exists_nice_matches_naive_small():
-    for m in range(0, 4):
-        for k in (1, 2, 3):
-            g = _naive_g(m, k)
-            for n in range(0, (1 << m) + 2):
-                res = exists_nice_of_size(m, k, n)
-                assert res.exhausted, (m, k, n)
-                assert (res.family is not None) == (n <= g), (m, k, n)
-                if res.family is not None:
-                    assert len(set(res.family.members)) == n
-                    assert is_nice(res.family, k), (m, k, n)
+    # the naive g(4, 3) alone takes about 10 s
+    for m, k in [(m, k) for m in range(0, 4) for k in (1, 2, 3)] + [(4, 1), (4, 2)]:
+        g = _naive_g(m, k)
+        for n in range(0, (1 << m) + 2):
+            res = exists_nice_of_size(m, k, n)
+            assert res.exhausted, (m, k, n)
+            assert (res.family is not None) == (n <= g), (m, k, n)
+            if res.family is not None:
+                assert len(set(res.family.members)) == n
+                assert is_nice(res.family, k), (m, k, n)
 
 
 def test_exists_nice_budget_status():
@@ -352,17 +355,17 @@ def test_search_reports_pinned(name):
 
 # Nodes the DFS visits.  Sharper pruning may lower these, never raise them.
 PINNED_NODES = {
-    "g(5,2)": (lambda: max_nice_size(5, 2), 113),
-    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 99),
+    "g(5,2)": (lambda: max_nice_size(5, 2), 104),
+    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 90),
     "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 40),
     "unique(5,3)": (lambda: max_unique_subset_family(5, 3), 46),
     "unique(5,2)-nosym": (lambda: max_unique_subset_family(5, 2, use_symmetry=False), 160),
     "pair-family(6,2)": (lambda: max_pair_family(6, 2), 164),
     "pair-family(4,2)": (lambda: max_pair_family(4, 2), 48),
-    "g(6,1)": (lambda: max_nice_size(6, 1), 15),
-    "g(5,3)": (lambda: max_nice_size(5, 3), 3285),
-    "g(6,2)": (lambda: max_nice_size(6, 2), 4647),
-    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 2767),
+    "g(6,1)": (lambda: max_nice_size(6, 1), 8),
+    "g(5,3)": (lambda: max_nice_size(5, 3), 3220),
+    "g(6,2)": (lambda: max_nice_size(6, 2), 3504),
+    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 1634),
 }
 
 
@@ -370,6 +373,113 @@ PINNED_NODES = {
 def test_dfs_node_counts_pinned(name):
     run, want = PINNED_NODES[name]
     assert run().nodes_visited == want
+
+
+# --- the free-pair bound -----------------------------------------------------
+
+
+def _pair_runs(m, k):
+    """Each witness S with the mask of its run of 2^|S| bits in ``pairs``."""
+    runs, base = [], 0
+    for S in separator_table(m, k)[0]:
+        width = 1 << S.bit_count()
+        runs.append((S, ((1 << width) - 1) << base))
+        base += width
+    return runs
+
+
+def test_pair_bits_are_the_keys():
+    # two words share the bit of S exactly when their keys on S are equal
+    cases = [(m, k) for m in range(0, 5) for k in range(1, m + 2)]
+    cases += [(5, 1), (5, 2), (5, 3), (6, 2)]
+    for m, k in cases:
+        pairs = search._witness_tables(m, k)[3]
+        runs = _pair_runs(m, k)
+        width = sum(run.bit_count() for _, run in runs)
+        for w in range(1 << m):
+            assert pairs[w] >> width == 0
+            assert all((pairs[w] & run).bit_count() == 1 for _, run in runs), (m, k, w)
+        for S, run in runs:
+            for w1 in range(1 << m):
+                for w2 in range(1 << m):
+                    shared = pairs[w1] & pairs[w2] & run != 0
+                    assert shared == (w1 & S == w2 & S), (m, k, S, w1, w2)
+
+
+def _check_free_pair_count(members, m, k):
+    """|Q| <= the pairs of Q that P does not hold, for every split F = P + Q
+    of a nice family F.  Subset ORs are built from the subset less its
+    lowest member, so the 2^|F| splits cost one OR each."""
+    pairs = search._witness_tables(m, k)[3]
+    n = len(members)
+    held = [0] * (1 << n)
+    for q in range(1, 1 << n):
+        low = q & -q
+        held[q] = held[q ^ low] | pairs[members[low.bit_length() - 1]]
+    everyone = (1 << n) - 1
+    for q in range(1 << n):
+        assert q.bit_count() <= (held[q] & ~held[everyone ^ q]).bit_count(), (m, k, members, q)
+
+
+@st.composite
+def nice_families(draw):
+    """A nice family: words in a drawn order, each kept while the family
+    stays nice, up to a drawn size."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    cap = draw(st.integers(0, 12))
+    members = []
+    for w in draw(st.permutations(range(1 << m))):
+        if len(members) == cap:
+            break
+        if is_nice(Family(m, (*members, w)), k):
+            members.append(w)
+    return m, k, members
+
+
+@settings(max_examples=60, deadline=None)
+@given(nice_families())
+def test_free_pair_count_bounds_every_split(case):
+    m, k, members = case
+    assert is_nice(Family(m, tuple(members)), k)
+    _check_free_pair_count(members, m, k)
+
+
+def test_free_pair_count_on_the_optimum():
+    rep = max_nice_size(6, 2)
+    assert rep.best == 15
+    _check_free_pair_count(list(rep.example.members), 6, 2)
+
+
+# Nodes with the free-pair bound off: the counts before it was added.
+UNBOUNDED_NODES = {
+    "g(5,2)": 113,
+    "exists(5,2,11)": 99,
+    "g(5,3)": 3285,
+    "g(6,1)": 15,
+    "g(6,2)": 4647,
+    "exists(6,2,16)": 2767,
+}
+
+
+@pytest.mark.parametrize("name", UNBOUNDED_NODES)
+def test_free_pair_bound_cuts_only_nodes(name, monkeypatch):
+    # With one private pair per word, every candidate but the child brings
+    # a free pair of its own, which the cardinality bound already counts:
+    # the bound is off.  The reports must not change, only the nodes.
+    run = PINNED_NODES[name][0]
+    bounded = run()
+    tables = search._witness_tables
+
+    def private_pairs(m, k):
+        keep, full, own, _ = tables(m, k)
+        return keep, full, own, tuple(1 << w for w in range(1 << m))
+
+    monkeypatch.setattr(search, "_witness_tables", private_pairs)
+    unbounded = run()
+    assert unbounded.nodes_visited == UNBOUNDED_NODES[name]
+    fields = [f for f in type(bounded).__slots__ if f != "nodes_visited"]
+    assert [getattr(unbounded, f) for f in fields] == [getattr(bounded, f) for f in fields]
 
 
 def _brute_least_image(m, words, switching):
