@@ -44,13 +44,29 @@ canonical-prefix test: a child that cannot beat the best (or reach the
 target) is never built, and building stops as soon as enough later words
 have been dropped to make it hopeless.
 
-Reports are deterministic: one DFS walks the whole tree with a best size
-shared by every branch, and cuts a branch only when it cannot beat that
-best strictly, so the example reported is the first optimum in DFS order.
+Reports are deterministic: a branch is cut only when it cannot beat the
+best found before it strictly, so the example reported is the first optimum
+in DFS order.
+
+Roots are the families of SPLIT_DEPTH members.  The DFS walks the first
+root, and the next ones until SPLIT_MIN_NODES nodes are visited, with one
+best shared by every branch.  It queues each later root that passes the
+tests of its parents by its prefix alone.  Each queued root then runs as
+its own DFS, from the best reached before the queue or towards the target,
+and the results merge in root order (parallel DFS by splitting the tree,
+Rao & Kumar 1987).  A root's result and node count depend only on its
+prefix and that starting best, so results and node counts are the same for
+any number of workers.  A helper process runs roots from the back of the
+queue while this one runs them from the front.  It is forked once the
+queued roots run here have visited SPLIT_MIN_NODES nodes and two or more
+are left, and only where ``os.fork`` exists, at least two CPUs are usable
+and the process runs a single thread.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from functools import lru_cache
 
@@ -68,6 +84,13 @@ from .verify import separator_table
 
 SYMMETRY_DEPTH = 5  # measured: depth 4 visits 3.5x the nodes, depth 6 doubles cold g(6,2)
 SEARCH_MAX_GROUND = 6  # the largest m any search accepts
+# Roots are the families of SPLIT_DEPTH members; splitting deeper would
+# queue single-digit subtrees in the symmetric searches.  SPLIT_MIN_NODES
+# is about the DFS work that pays for one helper: a fork, its join and the
+# copy-on-write faults that follow cost about 3.5 ms in a 15 MB process
+# (2-vCPU host, CPython 3.11), and 256 nodes take about 3.3 ms.
+SPLIT_DEPTH = 2
+SPLIT_MIN_NODES = 256
 
 
 class SearchReport(Value):
@@ -174,7 +197,7 @@ class _DFS:
 
     __slots__ = (
         "keep", "pairs", "m", "group", "sym_depth", "target", "budget",
-        "best", "best_members", "nodes", "found",
+        "best", "best_members", "nodes", "found", "roots",
     )
 
     def __init__(self, keep, pairs, m, group, target, budget):
@@ -189,6 +212,8 @@ class _DFS:
         self.best_members: tuple[int, ...] = ()
         self.nodes = 0
         self.found = None
+        # None: run every root here; a list: queue later roots into it
+        self.roots = None
 
     def run(self, members, survs, cands, used, reach):
         """Visit the family ``members``: ``survs[i]`` is the mask of member
@@ -216,6 +241,8 @@ class _DFS:
         pairs = self.pairs
         free = reach & ~used
         check_prefix = s < self.sym_depth
+        # a list while the children are roots that ``_search`` may queue
+        queue = self.roots if s == SPLIT_DEPTH - 1 else None
         last = len(cands) - 1
         for idx, (w, alive) in enumerate(cands):
             # Child idx holds at most the last - idx later words and needs
@@ -266,7 +293,11 @@ class _DFS:
                 continue
             new_survs.append(alive)
             members.append(w)
-            self.run(members, new_survs, child, used | pw, child_reach)
+            # best >= SPLIT_DEPTH once the first root has been visited
+            if queue is not None and self.nodes >= SPLIT_MIN_NODES and self.best >= SPLIT_DEPTH:
+                queue.append((tuple(members), self.nodes))
+            else:
+                self.run(members, new_survs, child, used | pw, child_reach)
             members.pop()
             if self.budget.expired or self.found is not None:
                 return
@@ -280,16 +311,182 @@ def _search(m, k, group, target, budget, words=None, owned=False):
     ``owned``.  Returns (members, exhausted, nodes): members is the first
     optimum in DFS order (the best so far on expiry), or with a target the
     first family of that size, None if there is none.
+
+    Roots queued by the DFS run in ``_run_roots``; the results and node
+    counts do not depend on which process ran them.
     """
     keep, full, own, pairs = _witness_tables(m, k)
     words = range(1 << m) if words is None else words
+    cands = [(w, own[w] if owned else full) for w in words]
     reach = 0
     for w in words:
         reach |= pairs[w]
     dfs = _DFS(keep, pairs, m, group, target, budget)
-    dfs.run([], [], [(w, own[w] if owned else full) for w in words], 0, reach)
+    dfs.roots = []
+    dfs.run([], [], cands, 0, reach)
+    if dfs.roots and not budget.expired:
+        _run_roots(dfs, cands)
     members = dfs.best_members if target is None else dfs.found
     return members, not budget.expired, dfs.nodes
+
+
+def _replay(keep, pairs, cands, prefix):
+    """The arguments ``_DFS.run`` visits the family ``prefix`` with, rebuilt
+    from the top-level candidates ``cands``.  Checking a later word against
+    every member, not only those whose masks shrank, keeps the same words."""
+    members, survs, used = [], [], 0
+    for w in prefix:
+        idx = next(i for i, (x, _) in enumerate(cands) if x == w)
+        kw = keep[w]
+        survs = [sv & kw[x] for x, sv in zip(members, survs)]
+        survs.append(cands[idx][1])
+        members.append(w)
+        used |= pairs[w]
+        cands = [
+            (w2, a) for w2, a2 in cands[idx + 1:]
+            if (a := a2 & kw[w2]) and all(ns & keep[w2][x] for x, ns in zip(members, survs))
+        ]
+    reach = 0
+    for w, _ in cands:
+        reach |= pairs[w]
+    return members, survs, cands, used, reach
+
+
+def _run_roots(dfs, cands):
+    """Run the roots ``dfs`` queued, each as its own DFS from the best
+    reached before them (or towards the target), and merge their results in
+    root order.
+
+    A root's nodes and result depend only on its prefix and that starting
+    best, so they are the same whichever process runs it.  Nodes are summed,
+    with a target up to the first root that found one; the best changes
+    only on a strict improvement, and an expired budget in any root
+    expires the search.  Roots run here in order until they have visited
+    SPLIT_MIN_NODES nodes; if two or more are left then, ``_share`` runs
+    them with a helper.
+    """
+    roots, start, target, budget = dfs.roots, dfs.best, dfs.target, dfs.budget
+
+    def run(i):
+        job = _DFS(dfs.keep, dfs.pairs, dfs.m, dfs.group, target, budget)
+        job.best = start
+        job.run(*_replay(dfs.keep, dfs.pairs, cands, roots[i][0]))
+        found = job.best_members if target is None else job.found
+        return job.nodes, found or None, budget.expired
+
+    done = {}
+    shared = False
+    extra = 0
+    for i, (_, at) in enumerate(roots):
+        if i not in done:
+            if budget.expired:
+                break
+            if not shared and extra >= SPLIT_MIN_NODES and len(roots) - i > 1:
+                shared = True
+                if _helper_allowed():
+                    done = _share(run, i, len(roots), target is not None)
+            if i not in done:
+                done[i] = run(i)
+        nodes, found, expired = done[i]
+        extra += nodes
+        budget.expired = budget.expired or expired
+        if found is None:
+            continue
+        if target is not None:
+            dfs.found, dfs.nodes = found, at + extra
+            return
+        if len(found) > dfs.best:
+            dfs.best, dfs.best_members = len(found), found
+    dfs.nodes += extra
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _helper_allowed() -> bool:
+    """A helper is forked only into a single-threaded process with a second
+    CPU to run on."""
+    threading = sys.modules.get("threading")
+    return (
+        hasattr(os, "fork")
+        and _usable_cpus() >= 2
+        and (threading is None or threading.active_count() == 1)
+    )
+
+
+def _share(run, lo, hi, target):
+    """Run roots lo, lo + 1, ... here while one forked helper runs hi - 1,
+    hi - 2, ...; returns {root: run(root)} for the roots either finished.
+
+    A shared byte per root marks it taken, and each side stops at the first
+    root the other took; a root both took runs twice, with the same result.
+    The helper sends its results through a pipe and exits.  When this side
+    finds the target (the helper's roots are later ones) or is interrupted,
+    the helper is killed instead.  It is always reaped, and it stops between
+    roots if this process is gone.
+    """
+    import marshal
+    import mmap
+    import signal
+
+    taken = mmap.mmap(-1, hi)
+    rfd, wfd = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        taken.close()
+        return {}
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            out = {}
+            for i in range(hi - 1, lo - 1, -1):
+                if taken[i] or os.getppid() != parent:
+                    break
+                taken[i] = 1
+                out[i] = res = run(i)
+                if res[2]:
+                    break
+            with os.fdopen(wfd, "wb") as pipe:
+                pipe.write(marshal.dumps(out))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    done = {}
+    data = None
+    try:
+        found = False
+        for i in range(lo, hi):
+            if taken[i]:
+                break
+            taken[i] = 1
+            done[i] = res = run(i)
+            found = target and res[1] is not None
+            if found or res[2]:
+                break
+        if not found:
+            with os.fdopen(rfd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+    finally:
+        os.close(rfd)
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        taken.close()
+    try:
+        theirs = marshal.loads(data) if data else {}
+    except (EOFError, ValueError, TypeError):
+        theirs = {}
+    return {**theirs, **done}
 
 
 def max_nice_size(

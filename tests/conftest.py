@@ -1,5 +1,6 @@
 """Shared fixtures and small enumeration helpers for the test suite."""
 
+import os
 import time
 from itertools import combinations, combinations_with_replacement
 
@@ -39,3 +40,14 @@ def g5_report(_g5_timed):
 @pytest.fixture(scope="session")
 def g5_seconds(_g5_timed):
     return _g5_timed[1]
+
+
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    """Fail any test that leaves a child process behind, running or not."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind (pid {pid or 'still running'})")

@@ -1,6 +1,8 @@
 """Searches re-derive extremal values; reports are deterministic and sound."""
 
+import os
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -364,7 +366,8 @@ PINNED_NODES = {
     "pair-family(4,2)": (lambda: max_pair_family(4, 2), 48),
     "g(6,1)": (lambda: max_nice_size(6, 1), 8),
     "g(5,3)": (lambda: max_nice_size(5, 3), 3220),
-    "g(6,2)": (lambda: max_nice_size(6, 2), 3504),
+    # 3504 before the root split: later roots start from the first root's 12
+    "g(6,2)": (lambda: max_nice_size(6, 2), 3506),
     "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 1634),
 }
 
@@ -451,13 +454,14 @@ def test_free_pair_count_on_the_optimum():
     _check_free_pair_count(list(rep.example.members), 6, 2)
 
 
-# Nodes with the free-pair bound off: the counts before it was added.
+# Nodes with the free-pair bound off: the counts before it was added, but
+# for g(6,2), which the root split moved.
 UNBOUNDED_NODES = {
     "g(5,2)": 113,
     "exists(5,2,11)": 99,
     "g(5,3)": 3285,
     "g(6,1)": 15,
-    "g(6,2)": 4647,
+    "g(6,2)": 4652,  # 4647 before the root split
     "exists(6,2,16)": 2767,
 }
 
@@ -480,6 +484,160 @@ def test_free_pair_bound_cuts_only_nodes(name, monkeypatch):
     assert unbounded.nodes_visited == UNBOUNDED_NODES[name]
     fields = [f for f in type(bounded).__slots__ if f != "nodes_visited"]
     assert [getattr(unbounded, f) for f in fields] == [getattr(bounded, f) for f in fields]
+
+
+# --- the root split ----------------------------------------------------------
+
+
+SPLIT_CASES = {
+    # name: (search, whether a helper is forked)
+    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), True),
+    "exists(5,2,11)-nosym": (lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), True),
+    "g(5,3)": (lambda: max_nice_size(5, 3), False),
+    "g(6,2)": (lambda: max_nice_size(6, 2), True),
+    "exists(6,2,13)": (lambda: exists_nice_of_size(6, 2, 13), False),
+    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), True),
+}
+
+
+def _fields(rep):
+    out = [getattr(rep, f) for f in type(rep).__slots__]
+    return out + [rep.status] if isinstance(rep, ExistenceResult) else out
+
+
+def _count_shares(monkeypatch):
+    shares = []
+    share = search._share
+
+    def counted(*args):
+        shares.append(args[1:3])
+        return share(*args)
+
+    monkeypatch.setattr(search, "_share", counted)
+    return shares
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_split_reports_same_with_and_without_helper(name, monkeypatch):
+    run, forks = SPLIT_CASES[name]
+    shares = _count_shares(monkeypatch)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    alone = run()
+    assert shares == []
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    helped = run()
+    assert bool(shares) == forks
+    assert _fields(helped) == _fields(alone)
+
+
+@pytest.mark.parametrize("name", PINNED_NODES)
+def test_split_moves_only_the_g62_count(name, monkeypatch):
+    # Roots queued once SPLIT_MIN_NODES nodes are visited start from the
+    # best reached before them, not from the running best.  Only g(6,2)
+    # improves on its first root's best in a later root, so only its
+    # count moves; searches that queue nothing cannot move at all.
+    run = PINNED_NODES[name][0]
+    split = run()
+    monkeypatch.setattr(search, "SPLIT_MIN_NODES", float("inf"))
+    whole = run()
+    assert whole.nodes_visited == (3504 if name == "g(6,2)" else split.nodes_visited)
+    fields = [f for f in type(split).__slots__ if f != "nodes_visited"]
+    assert [getattr(whole, f) for f in fields] == [getattr(split, f) for f in fields]
+
+
+def _in_helper(parent=os.getpid()):
+    return os.getpid() != parent
+
+
+def test_split_helper_without_results_runs_its_roots_here(monkeypatch):
+    run = SPLIT_CASES["g(5,2)-nosym"][0]
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    alone = run()
+    replay = search._replay
+
+    def dying(*args):
+        if _in_helper():
+            os._exit(1)
+        return replay(*args)
+
+    shares = _count_shares(monkeypatch)
+    monkeypatch.setattr(search, "_replay", dying)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    assert _fields(run()) == _fields(alone)
+    assert shares
+
+
+@pytest.mark.parametrize("name", ["g(5,2)-nosym", "exists(5,2,11)-nosym"])
+def test_split_budget_expiry(name, monkeypatch):
+    # The budget expires in the fourth root either side runs: after the
+    # helper is forked in this process, and at once in the helper.
+    started = []
+    replay = search._replay
+
+    def counted(*args):
+        started.append(args[3])
+        return replay(*args)
+
+    def check(budget):
+        budget.expired = budget.expired or len(started) >= 4
+        return budget.expired
+
+    shares = _count_shares(monkeypatch)
+    monkeypatch.setattr(search, "_replay", counted)
+    monkeypatch.setattr(search._Budget, "check", check)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    rep = SPLIT_CASES[name][0]()
+    assert shares
+    assert rep.exhausted is False
+    if isinstance(rep, ExistenceResult):
+        assert rep.status == "budget-exhausted"
+    else:
+        assert rep.best == 10 and is_nice(rep.example, 2)
+
+
+def test_split_interrupt_reaps_the_helper(monkeypatch):
+    replay = search._replay
+    started = []
+
+    def interrupted(*args):
+        started.append(args[3])
+        if not _in_helper() and len(started) == 4:
+            raise KeyboardInterrupt
+        return replay(*args)
+
+    shares = _count_shares(monkeypatch)
+    monkeypatch.setattr(search, "_replay", interrupted)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    with pytest.raises(KeyboardInterrupt):
+        max_nice_size(5, 2, use_symmetry=False)
+    assert shares
+
+
+def test_share_runs_roots_from_both_ends():
+    parent = os.getpid()
+
+    def run(i):
+        time.sleep(0.1 if os.getpid() == parent else 0.001)
+        return os.getpid(), None, False
+
+    done = search._share(run, 2, 8, False)
+    assert sorted(done) == list(range(2, 8))
+    mine = [i for i in done if done[i][0] == parent]
+    assert mine and mine == list(range(2, 2 + len(mine))) and len(mine) < 6
+
+
+def test_share_kills_the_helper_when_this_side_finds():
+    parent = os.getpid()
+
+    def run(i):
+        if os.getpid() != parent:
+            time.sleep(5)
+        return 1, (i,) if i == 1 else None, False
+
+    t0 = time.monotonic()
+    done = search._share(run, 0, 8, True)
+    assert time.monotonic() - t0 < 2.5
+    assert done == {0: (1, None, False), 1: (1, (1,), False)}
 
 
 def _brute_least_image(m, words, switching):
