@@ -49,15 +49,7 @@ def binary_separating(n: int) -> Family:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_ground(n)
-    t = (n - 1).bit_length()
-    words = []
-    for i in range(t):
-        w = 0
-        for j in range(n):
-            if (j >> i) & 1:
-                w |= 1 << j
-        words.append(w)
-    return family_from_words(n, words)
+    return dual(family_from_words((n - 1).bit_length(), range(n)))
 
 
 def _subset_assignment(m: int, j: int, n: int) -> list[tuple[int, ...]]:
@@ -78,15 +70,7 @@ def _subset_assignment(m: int, j: int, n: int) -> list[tuple[int, ...]]:
 
 def _dual_of_assigned_subsets(n: int, m: int, j: int) -> Family:
     _check_ground(n)  # before building n subsets that could not fit
-    subs = _subset_assignment(m, j, n)
-    words = []
-    for i in range(m):
-        w = 0
-        for v, s in enumerate(subs):
-            if i in s:
-                w |= 1 << v
-        words.append(w)
-    return family_from_words(n, words)
+    return dual(new_family(m, _subset_assignment(m, j, n)))
 
 
 def spencer_completely_separating(n: int) -> Family:

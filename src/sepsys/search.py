@@ -51,16 +51,17 @@ in DFS order.
 Roots are the families of SPLIT_DEPTH members.  The DFS walks the first
 root, and the next ones until SPLIT_MIN_NODES nodes are visited, with one
 best shared by every branch.  It queues each later root that passes the
-tests of its parents by its prefix alone.  Each queued root then runs as
-its own DFS, from the best reached before the queue or towards the target,
-and the results merge in root order (parallel DFS by splitting the tree,
-Rao & Kumar 1987).  A root's result and node count depend only on its
-prefix and that starting best, so results and node counts are the same for
-any number of workers.  A helper process runs roots from the back of the
-queue while this one runs them from the front.  It is forked once the
-queued roots run here have visited SPLIT_MIN_NODES nodes and two or more
-are left, and only where ``os.fork`` exists, at least two CPUs are usable
-and the process runs a single thread.
+tests of its parents as the arguments it has just built to visit it.  Each
+queued root then runs as its own DFS from them, from the best reached
+before the queue or towards the target, and the results merge in root
+order (parallel DFS by splitting the tree, Rao & Kumar 1987).  A root's
+result and node count depend only on its arguments and that starting best,
+so results and node counts are the same for any number of workers.  A
+helper process, forked with the queue, runs roots from the back of it
+while this one runs them from the front.  It is forked once the queued
+roots run here have visited SPLIT_MIN_NODES nodes and two or more are
+left, and only where ``os.fork`` exists, at least two CPUs are usable and
+the process runs a single thread.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ class SearchReport(Value):
     ``exhausted`` is True only when the full symmetry-reduced space was
     covered, making ``best`` a proven optimum; it is False whenever the wall
     budget expired first.  ``nodes_visited`` counts the nodes the DFS
-    visited, a deterministic number for a search that ran to the end.
+    visited, a deterministic number for a search that ran to the end; in
+    target mode the count stops at the first root that found a family, as
+    the serial DFS stops there.
     """
 
     __slots__ = ("best", "example", "exhausted", "nodes_visited", "wall_budget_ms",
@@ -212,8 +215,7 @@ class _DFS:
         self.best_members: tuple[int, ...] = ()
         self.nodes = 0
         self.found = None
-        # None: run every root here; a list: queue later roots into it
-        self.roots = None
+        self.roots = []  # queued roots: (``run`` arguments, nodes before)
 
     def run(self, members, survs, cands, used, reach):
         """Visit the family ``members``: ``survs[i]`` is the mask of member
@@ -241,8 +243,8 @@ class _DFS:
         pairs = self.pairs
         free = reach & ~used
         check_prefix = s < self.sym_depth
-        # a list while the children are roots that ``_search`` may queue
-        queue = self.roots if s == SPLIT_DEPTH - 1 else None
+        # whether the children are roots, which may be queued
+        queue = s == SPLIT_DEPTH - 1
         last = len(cands) - 1
         for idx, (w, alive) in enumerate(cands):
             # Child idx holds at most the last - idx later words and needs
@@ -294,8 +296,9 @@ class _DFS:
             new_survs.append(alive)
             members.append(w)
             # best >= SPLIT_DEPTH once the first root has been visited
-            if queue is not None and self.nodes >= SPLIT_MIN_NODES and self.best >= SPLIT_DEPTH:
-                queue.append((tuple(members), self.nodes))
+            if queue and self.nodes >= SPLIT_MIN_NODES and self.best >= SPLIT_DEPTH:
+                args = (members[:], new_survs, child, used | pw, child_reach)
+                self.roots.append((args, self.nodes))
             else:
                 self.run(members, new_survs, child, used | pw, child_reach)
             members.pop()
@@ -322,45 +325,22 @@ def _search(m, k, group, target, budget, words=None, owned=False):
     for w in words:
         reach |= pairs[w]
     dfs = _DFS(keep, pairs, m, group, target, budget)
-    dfs.roots = []
     dfs.run([], [], cands, 0, reach)
     if dfs.roots and not budget.expired:
-        _run_roots(dfs, cands)
+        _run_roots(dfs)
     members = dfs.best_members if target is None else dfs.found
     return members, not budget.expired, dfs.nodes
 
 
-def _replay(keep, pairs, cands, prefix):
-    """The arguments ``_DFS.run`` visits the family ``prefix`` with, rebuilt
-    from the top-level candidates ``cands``.  Checking a later word against
-    every member, not only those whose masks shrank, keeps the same words."""
-    members, survs, used = [], [], 0
-    for w in prefix:
-        idx = next(i for i, (x, _) in enumerate(cands) if x == w)
-        kw = keep[w]
-        survs = [sv & kw[x] for x, sv in zip(members, survs)]
-        survs.append(cands[idx][1])
-        members.append(w)
-        used |= pairs[w]
-        cands = [
-            (w2, a) for w2, a2 in cands[idx + 1:]
-            if (a := a2 & kw[w2]) and all(ns & keep[w2][x] for x, ns in zip(members, survs))
-        ]
-    reach = 0
-    for w, _ in cands:
-        reach |= pairs[w]
-    return members, survs, cands, used, reach
-
-
-def _run_roots(dfs, cands):
+def _run_roots(dfs):
     """Run the roots ``dfs`` queued, each as its own DFS from the best
     reached before them (or towards the target), and merge their results in
     root order.
 
-    A root's nodes and result depend only on its prefix and that starting
-    best, so they are the same whichever process runs it.  Nodes are summed,
-    with a target up to the first root that found one; the best changes
-    only on a strict improvement, and an expired budget in any root
+    A root's nodes and result depend only on its queued arguments and that
+    starting best, so they are the same whichever process runs it.  Nodes
+    are summed, with a target up to the first root that found one; the best
+    changes only on a strict improvement, and an expired budget in any root
     expires the search.  Roots run here in order until they have visited
     SPLIT_MIN_NODES nodes; if two or more are left then, ``_share`` runs
     them with a helper.
@@ -370,7 +350,7 @@ def _run_roots(dfs, cands):
     def run(i):
         job = _DFS(dfs.keep, dfs.pairs, dfs.m, dfs.group, target, budget)
         job.best = start
-        job.run(*_replay(dfs.keep, dfs.pairs, cands, roots[i][0]))
+        job.run(*roots[i][0])
         found = job.best_members if target is None else job.found
         return job.nodes, found or None, budget.expired
 

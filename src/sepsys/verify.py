@@ -225,8 +225,8 @@ def _lowest_separator(wi: int, alive: int, seps) -> SeparatorWitness:
 
 def _candidates(m: int, k: int, drawn: list[int]):
     """Every set of at most k elements in (size, value) order, each appended
-    to ``drawn`` as it is yielded."""
-    for size in range(k + 1):
+    to ``drawn`` as it is yielded.  No set has more than m elements."""
+    for size in range(min(k, m) + 1):
         for S in words_of_size(m, size):
             drawn.append(S)
             yield S
@@ -308,7 +308,7 @@ def owns_unique_subsets(d: Family, k: int) -> bool:
         bits = [1 << t for t in range(d.ground_size) if wi >> t & 1]
         if not any(
             0 not in map(sum(c).__and__, outside)
-            for size in range(k + 1)
+            for size in range(min(k, len(bits)) + 1)
             for c in combinations(bits, size)
         ):
             return False

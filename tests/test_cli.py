@@ -187,6 +187,21 @@ def test_verify_hcs_duplicates_fail_promptly():
     assert seconds < 1, f"verify took {seconds:.1f}s"
 
 
+def test_verify_nice_huge_k_above_table_fails_promptly():
+    # a 13-element ground is scanned lazily; the scan stops at size 13, not
+    # at k, which took 1.9 s at k = 10**7
+    doc = "13 3\n1000000000000\n1000000000000\n0100000000000\n"
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepsys.cli", "verify", "--property", "nice", "--k", "10000000"],
+        input=doc, capture_output=True, text=True, env=_cli_env(), timeout=10,
+    )
+    seconds = time.monotonic() - t0
+    assert proc.returncode == EXIT_FAIL, proc.stderr
+    assert proc.stdout == "FAIL nice: counterexample 0\n"
+    assert seconds < 1, f"verify took {seconds:.1f}s"
+
+
 def test_verify_requires_k(capsys, monkeypatch):
     code, _, err = run(
         capsys,

@@ -369,6 +369,9 @@ PINNED_NODES = {
     # 3504 before the root split: later roots start from the first root's 12
     "g(6,2)": (lambda: max_nice_size(6, 2), 3506),
     "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 1634),
+    # most of the work of these two lies in queued roots
+    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), 29012),
+    "exists(5,2,11)-nosym": (lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), 28998),
 }
 
 
@@ -549,19 +552,30 @@ def _in_helper(parent=os.getpid()):
     return os.getpid() != parent
 
 
+def _on_root_start(monkeypatch, hook):
+    """Call hook(prefix) as each queued root's own DFS starts, before its
+    first node: the only ``_DFS.run`` call on a fresh DFS with members."""
+    dfs_run = search._DFS.run
+
+    def run(self, members, *args):
+        if self.nodes == 0 and members:
+            hook(tuple(members))
+        return dfs_run(self, members, *args)
+
+    monkeypatch.setattr(search._DFS, "run", run)
+
+
 def test_split_helper_without_results_runs_its_roots_here(monkeypatch):
     run = SPLIT_CASES["g(5,2)-nosym"][0]
     monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
     alone = run()
-    replay = search._replay
 
-    def dying(*args):
+    def dying(prefix):
         if _in_helper():
             os._exit(1)
-        return replay(*args)
 
     shares = _count_shares(monkeypatch)
-    monkeypatch.setattr(search, "_replay", dying)
+    _on_root_start(monkeypatch, dying)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     assert _fields(run()) == _fields(alone)
     assert shares
@@ -572,18 +586,13 @@ def test_split_budget_expiry(name, monkeypatch):
     # The budget expires in the fourth root either side runs: after the
     # helper is forked in this process, and at once in the helper.
     started = []
-    replay = search._replay
-
-    def counted(*args):
-        started.append(args[3])
-        return replay(*args)
 
     def check(budget):
         budget.expired = budget.expired or len(started) >= 4
         return budget.expired
 
     shares = _count_shares(monkeypatch)
-    monkeypatch.setattr(search, "_replay", counted)
+    _on_root_start(monkeypatch, started.append)
     monkeypatch.setattr(search._Budget, "check", check)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     rep = SPLIT_CASES[name][0]()
@@ -596,17 +605,15 @@ def test_split_budget_expiry(name, monkeypatch):
 
 
 def test_split_interrupt_reaps_the_helper(monkeypatch):
-    replay = search._replay
     started = []
 
-    def interrupted(*args):
-        started.append(args[3])
+    def interrupted(prefix):
+        started.append(prefix)
         if not _in_helper() and len(started) == 4:
             raise KeyboardInterrupt
-        return replay(*args)
 
     shares = _count_shares(monkeypatch)
-    monkeypatch.setattr(search, "_replay", interrupted)
+    _on_root_start(monkeypatch, interrupted)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     with pytest.raises(KeyboardInterrupt):
         max_nice_size(5, 2, use_symmetry=False)

@@ -1,6 +1,7 @@
 """Oracles and certificates for the separation properties."""
 
 import random
+import signal
 import time
 from itertools import combinations
 
@@ -431,6 +432,42 @@ def test_owns_unique_subsets_matches_definition():
     assert not owns_unique_subsets(Family(3, (3, 3)), 2)
     with pytest.raises(ValueError):
         owns_unique_subsets(Family(2, (1,)), 0)
+
+
+def test_huge_k_answers_as_k_equals_ground():
+    # No set has more than m elements, so any k >= m answers as k = m, and
+    # the scans stop at size m: at k = 10**12 a scan over every size would
+    # not end.  An alarm turns such a hang into a failure.
+    cap = verify.SEPARATOR_TABLE_MAX_GROUND
+    rng = random.Random(15)
+    cases = [Family(3, (1, 1)), Family(cap + 1, (1 << cap, 1 << cap, 1 << (cap - 1)))]
+    for m in (1, 3, 5, cap + 1):
+        for _ in range(6):
+            cases.append(Family(m, tuple(rng.randrange(1 << m) for _ in range(rng.randint(1, 6)))))
+    cases.append(dual(hyperseparating_minimal_2(12)))
+
+    def answers(d, k):
+        cert = is_nice(d, k)
+        seps = [find_separator(d, i, k) for i in range(len(d.members))]
+        return bool(cert), cert.witnesses, cert.failure, seps, owns_unique_subsets(d, k)
+
+    want = [answers(d, d.ground_size) for d in cases]
+    assert any(w[0] for w in want) and not all(w[0] for w in want)
+
+    def hang(signum, frame):
+        raise TimeoutError("huge k took over 5 s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        t0 = time.perf_counter()
+        got = [answers(d, 10**12) for d in cases]
+        seconds = time.perf_counter() - t0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert got == want
+    assert seconds < 1, f"huge k took {seconds:.2f} s"
 
 
 # --- pair_family_valid -------------------------------------------------------
