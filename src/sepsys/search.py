@@ -11,32 +11,41 @@ its largest word into a smaller sorted list keeps that list smaller.
 
 Every problem runs on one witness model, forward-checked (Haralick &
 Elliott 1980).  A witness is a set S of at most k elements; it serves
-member x while S meets x ^ w for every other member w, i.e. while x's key
-x & S is its own.  Each node carries per-member masks of surviving
-witnesses, and its candidate list holds only words that keep a witness of
-their own and leave every member one.  Masks only shrink as members are
-added, so a word that fails this test fails it in every descendant; it is
-dropped when the child's list is built, and the cardinality bound
-``size + candidates`` counts only addable words.  The witnesses and their
-masks come from ``verify.separator_table``, which owns the table that
-``is_nice`` reads too.
+member x while x's key x & S is its own, i.e. while no other member has
+that key on S.  A word holds one (witness, key) pair per witness, so x's
+witnesses are the pairs it holds alone, and a node's state is two pair
+sets: ``used``, the pairs its members hold, and ``twice``, those two or
+more of them hold.  Its candidate list holds only words that keep a
+witness of their own (a pair outside ``used``) and leave every member one.
+Witnesses only die as members are added, so a word that fails this test
+fails it in every descendant; it is dropped when the child's list is
+built, and the cardinality bound ``size + candidates`` counts only addable
+words.  The witnesses come from ``verify.separator_table``, which owns the
+table that ``is_nice`` reads too.
 
-Nice families start every word with every witness.  A member that must own
-a subset T of itself, contained in no other member, starts with the
-witnesses inside it: for T <= x, (x ^ w) & T == 0 exactly when T <= w.  A
-pair family is, per key, such a search over separators of at most k
-elements; each owns itself, so it keeps a witness while it is incomparable
-with every other member.
+Nice families count every pair.  A member that must own a subset T of
+itself, contained in no other member, counts only the pairs (T, T): a word
+holds (T, T) exactly when T <= w.  A pair family is, per key, such a
+search over separators of at most k elements; each owns itself, so it
+keeps a witness while it is incomparable with every other member.
+
+A child's list is filtered bit-parallel, after the bitset candidate sets
+of San Segundo, Rodriguez-Losada & Jimenez (2011).  A word kills member x,
+leaving it no witness, exactly when it holds every pair x holds alone; the
+words that do are the AND of the 2^m-bit word masks of those pairs,
+memoized per pair set.  Adding w shrinks only the pair sets of w itself and
+of the members that held a pair w now shares, so a later word stays unless
+one of their kill masks has its bit or it holds no pair still free.
 
 A second bound is the paper's count behind g(m,2) <= C(m,2): each member
 needs a (witness, key) pair of its own.  A pair (S, key) is free while no
 member's key on S equals it.  A word added below a node ends with a
 witness S on which its key y & S is its own, so that pair is free at the
 node, held by one of its candidates, and held by no other added word.  A
-node therefore carries ``used``, the pairs its members hold, and
-``reach``, the pairs its candidates hold; a child w needs as many more
-words as there are free pairs in ``reach`` that w does not take.  An
-owned witness T is the pair (T, T), so the count holds in every mode.
+node therefore also carries ``reach``, the pairs its candidates hold; a
+child w needs as many more words as there are free pairs in ``reach``
+that w does not take.  An owned witness T is the pair (T, T), so the count
+holds in every mode.
 
 Both bounds are tested in the parent's candidate loop, before a child is
 expanded (Carraghan & Pardalos 1990), and the pair count before its
@@ -92,6 +101,11 @@ SEARCH_MAX_GROUND = 6  # the largest m any search accepts
 # (2-vCPU host, CPython 3.11), and 256 nodes take about 3.3 ms.
 SPLIT_DEPTH = 2
 SPLIT_MIN_NODES = 256
+# The most kill masks memoized per witness table, as many as
+# ``core.is_canonical`` caches; the memo is cleared when full.
+KILLS_MEMO_SIZE = 1 << 15
+# 1 << w per word: ``mask & _BITS[w]`` tests bit w faster than a shift
+_BITS = tuple(1 << w for w in range(1 << SEARCH_MAX_GROUND))
 
 
 class SearchReport(Value):
@@ -140,41 +154,43 @@ class ExistenceResult(Value):
 
 @lru_cache(maxsize=None)
 def _witness_tables(m: int, k: int):
-    """The witness table of the m-ground, its two starting masks and the
-    pair masks, read off ``verify.separator_table``.
+    """The pair table of the m-ground, its two witness masks and the memo
+    of kill masks: ``(pairs, holders, nice, owned, kills)``.
 
-    Witnesses are all words of at most k bits.  ``keep[w][x]`` is the mask
-    of member x's witnesses that survive when member w is added: those that
-    meet x ^ w.  ``full`` holds every witness and ``own[w]`` those inside w,
-    i.e. disjoint from its complement.  On a mask inside ``own[x]``,
-    ``keep[w][x]`` kills exactly the witnesses contained in w, so owned
-    subsets need no table of their own.
+    Witnesses are the sets of at most k elements of
+    ``verify.separator_table``.  A pair is a witness S with a key, a subset
+    of S; each witness owns a run of 2^|S| bits, in table order, one per
+    key, the key S first.  ``pairs[w]`` holds the pair (S, w & S) of every
+    witness S, so two words share the bit of S exactly when their keys on S
+    are equal, and ``holders[p]`` is the mask of the words holding pair p.
 
-    A pair is a witness S with a key, a subset of S; each witness owns a
-    run of 2^|S| bits, in table order, one per key.  ``pairs[w]`` holds the
-    pair (S, w & S) of every witness S, so two words share the bit of S
-    exactly when their keys on S are equal.
+    A member's witnesses are its pairs inside a mask held by no other
+    member: ``nice``, every pair, for separators, and ``owned``, the pairs
+    (T, T), for owned subsets, as T <= w exactly when w & T == T.
+    ``kills`` is the memo of ``_DFS.killers``, kept with the table it reads.
     """
-    seps, meet = separator_table(m, k)
+    seps = separator_table(m, k)[0]
     words = range(1 << m)
-    full = (1 << len(seps)) - 1
-    keep = tuple(tuple(meet[x ^ w] for x in words) for w in words)
-    own = tuple(full & ~meet[w ^ words[-1]] for w in words)
     pairs = [0] * len(words)
-    base = 0
+    holders = []
+    owned = 0
     for S in seps:
-        # the bit of each key of S: its rank among the subsets of S
+        # the bit of each pair (S, key): after the runs of earlier
+        # witnesses, at the key's rank among the subsets of S
         bit = {}
         key = S
         while True:
-            bit[key] = 1 << (base + len(bit))
+            bit[key] = len(holders) + len(bit)
             if not key:
                 break
             key = (key - 1) & S
-        base += len(bit)
+        owned |= 1 << bit[S]
+        holders.extend([0] * len(bit))
         for w in words:
-            pairs[w] |= bit[w & S]
-    return keep, full, own, tuple(pairs)
+            p = bit[w & S]
+            pairs[w] |= 1 << p
+            holders[p] |= 1 << w
+    return tuple(pairs), tuple(holders), (1 << len(holders)) - 1, owned, {}
 
 
 class _Budget:
@@ -195,18 +211,21 @@ class _DFS:
     it cannot beat it strictly, so ``best_members`` is the first optimum in
     DFS order.  With a target, the search stops at the first family of that
     size.  Prefixes of length <= SYMMETRY_DEPTH must be canonical under
-    ``group``; ``group=None`` turns the reduction off.
+    ``group``; ``group=None`` turns the reduction off.  Members own
+    separators, or subsets of themselves when ``owned``.
     """
 
     __slots__ = (
-        "keep", "pairs", "m", "group", "sym_depth", "target", "budget",
-        "best", "best_members", "nodes", "found", "roots",
+        "pairs", "holders", "mask", "kills", "m", "k", "owned", "group", "sym_depth",
+        "target", "budget", "best", "best_members", "nodes", "found", "roots",
     )
 
-    def __init__(self, keep, pairs, m, group, target, budget):
-        self.keep = keep
-        self.pairs = pairs
+    def __init__(self, m, k, owned, group, target, budget):
+        self.pairs, self.holders, nice, own, self.kills = _witness_tables(m, k)
+        self.mask = own if owned else nice
         self.m = m
+        self.k = k
+        self.owned = owned
         self.group = group
         self.sym_depth = 0 if group is None else SYMMETRY_DEPTH
         self.target = target
@@ -217,12 +236,14 @@ class _DFS:
         self.found = None
         self.roots = []  # queued roots: (``run`` arguments, nodes before)
 
-    def run(self, members, survs, cands, used, reach):
-        """Visit the family ``members``: ``survs[i]`` is the mask of member
-        i's surviving witnesses, ``cands`` the (word, witness mask) pairs
-        that can be added: each keeps a witness of its own and leaves every
-        member one.  ``used`` is the OR of ``pairs`` over the members and
-        ``reach`` the OR over the candidates.
+    def run(self, members, cands, used, twice, reach):
+        """Visit the family ``members``.  ``used`` is the OR of ``pairs``
+        over the members and ``twice`` holds the pairs of ``mask`` that two
+        or more of them hold, so member x's witnesses are
+        ``pairs[x] & mask & ~twice``.  ``cands`` lists the words that can be
+        added, in increasing order: each keeps a witness of its own,
+        ``pairs[w] & mask & ~used``, and leaves every member one.  ``reach``
+        is the OR of ``pairs`` over the candidates.
 
         The bounds are tested here only for the children, in the candidate
         loop, so every visited node can beat the best (or reach the target)
@@ -239,14 +260,13 @@ class _DFS:
         if target is not None and s >= target:
             self.found = tuple(members)
             return
-        keep = self.keep
         pairs = self.pairs
         free = reach & ~used
         check_prefix = s < self.sym_depth
         # whether the children are roots, which may be queued
         queue = s == SPLIT_DEPTH - 1
         last = len(cands) - 1
-        for idx, (w, alive) in enumerate(cands):
+        for idx, w in enumerate(cands):
             # Child idx holds at most the last - idx later words and needs
             # ``need`` of them to beat the best (or to reach the target).
             # ``slack`` is how many it may still lose; best only grows and
@@ -264,46 +284,83 @@ class _DFS:
                 continue
             if check_prefix and not is_canonical((*members, w), self.m, self.group):
                 continue
-            kw = keep[w]
-            # A later word stays a candidate only if it keeps a witness of its
-            # own and leaves one to w and to every member whose mask just
-            # shrank; it left one to the other members when ``cands`` was built.
-            new_survs = []
-            shrunk = [(w, alive)]
-            for x, sv in zip(members, survs):
-                ns = sv & kw[x]
-                new_survs.append(ns)
-                if ns != sv:
-                    shrunk.append((x, ns))
-            child = []
-            child_reach = 0
-            for w2, a2 in cands[idx + 1:]:
-                a = a2 & kw[w2]
-                if a:
-                    k2 = keep[w2]
-                    for x, ns in shrunk:
-                        if not ns & k2[x]:
-                            break
-                    else:
-                        child.append((w2, a))
-                        child_reach |= pairs[w2]
-                        continue
-                slack -= 1
-                if slack < 0:
-                    break
+            child, child_reach, child_twice, slack = self.child(
+                members, w, cands[idx + 1:], used, twice, slack
+            )
             if slack < 0:
                 continue
-            new_survs.append(alive)
             members.append(w)
             # best >= SPLIT_DEPTH once the first root has been visited
             if queue and self.nodes >= SPLIT_MIN_NODES and self.best >= SPLIT_DEPTH:
-                args = (members[:], new_survs, child, used | pw, child_reach)
+                args = (members[:], child, used | pw, child_twice, child_reach)
                 self.roots.append((args, self.nodes))
             else:
-                self.run(members, new_survs, child, used | pw, child_reach)
+                self.run(members, child, used | pw, child_twice, child_reach)
             members.pop()
             if self.budget.expired or self.found is not None:
                 return
+
+    def child(self, members, w, later, used, twice, slack):
+        """The state of the child that adds w to ``members`` (``used`` and
+        ``twice`` as in ``run``): its candidates among ``later``, their
+        reach, its ``twice`` and the slack left after the words it dropped.
+
+        A word stays a candidate when it keeps a witness of its own and
+        holds no ``killers`` mask of w or of a member whose witnesses w
+        just took; it left one to the other members when ``later`` was
+        built.  Building stops at the word that makes the slack negative.
+        """
+        pairs = self.pairs
+        mask = self.mask
+        pw = pairs[w]
+        free = mask & ~used
+        shared = pw & mask & used
+        fresh = shared & ~twice
+        twice |= shared
+        memo = self.kills.get
+        # a kill mask is never 0, as a word holds its own pairs
+        u = pw & free
+        dead = memo(u) or self.killers(u)
+        if fresh:
+            unique = mask & ~twice
+            for x in members:
+                px = pairs[x]
+                if px & fresh:
+                    u = px & unique
+                    dead |= memo(u) or self.killers(u)
+        alive = free & ~pw
+        bits = _BITS
+        child = []
+        reach = 0
+        for w2 in later:
+            if not dead & bits[w2]:
+                p2 = pairs[w2]
+                if p2 & alive:
+                    child.append(w2)
+                    reach |= p2
+                    continue
+            slack -= 1
+            if slack < 0:
+                break
+        return child, reach, twice, slack
+
+    def killers(self, u):
+        """The mask of the words that hold every pair of u, the AND of
+        ``holders`` over them: adding one leaves a member whose witnesses
+        are u none.  Stored in the memo ``kills``, which ``child`` reads
+        first and which is cleared once it holds KILLS_MEMO_SIZE masks."""
+        holders = self.holders
+        dead = -1
+        rest = u
+        while rest:
+            low = rest & -rest
+            dead &= holders[low.bit_length() - 1]
+            rest ^= low
+        kills = self.kills
+        if len(kills) >= KILLS_MEMO_SIZE:
+            kills.clear()
+        kills[u] = dead
+        return dead
 
 
 def _search(m, k, group, target, budget, words=None, owned=False):
@@ -318,14 +375,12 @@ def _search(m, k, group, target, budget, words=None, owned=False):
     Roots queued by the DFS run in ``_run_roots``; the results and node
     counts do not depend on which process ran them.
     """
-    keep, full, own, pairs = _witness_tables(m, k)
-    words = range(1 << m) if words is None else words
-    cands = [(w, own[w] if owned else full) for w in words]
+    dfs = _DFS(m, k, owned, group, target, budget)
+    cands = list(range(1 << m) if words is None else words)
     reach = 0
-    for w in words:
-        reach |= pairs[w]
-    dfs = _DFS(keep, pairs, m, group, target, budget)
-    dfs.run([], [], cands, 0, reach)
+    for w in cands:
+        reach |= dfs.pairs[w]
+    dfs.run([], cands, 0, 0, reach)
     if dfs.roots and not budget.expired:
         _run_roots(dfs)
     members = dfs.best_members if target is None else dfs.found
@@ -348,7 +403,7 @@ def _run_roots(dfs):
     roots, start, target, budget = dfs.roots, dfs.best, dfs.target, dfs.budget
 
     def run(i):
-        job = _DFS(dfs.keep, dfs.pairs, dfs.m, dfs.group, target, budget)
+        job = _DFS(dfs.m, dfs.k, dfs.owned, dfs.group, target, budget)
         job.best = start
         job.run(*roots[i][0])
         found = job.best_members if target is None else job.found
@@ -563,10 +618,7 @@ def max_unique_subset_family(
     Symmetry reduction uses relabelings only; switching does not preserve
     the ownership property.
     """
-    # Not a cost limit: measured at m = 6, k = 1..3 exhausts in 37-879 nodes
-    # and at most 30 ms, at C(6, k'(6, k)).  It stays one below
-    # SEARCH_MAX_GROUND only because raising a public cap is its own change.
-    _check_mk(m, k, m_cap=5)
+    _check_mk(m, k, m_cap=SEARCH_MAX_GROUND)
     group = PERMUTATIONS_ONLY if use_symmetry else None
     members, exhausted, nodes = _search(m, k, group, None, _Budget(budget_ms), owned=True)
     return SearchReport(

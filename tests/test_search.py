@@ -17,6 +17,7 @@ from sepsys import (
     is_k_hyperseparating,
     is_nice,
     k_prime,
+    owns_unique_subsets,
     pair_family_valid,
 )
 from sepsys.core import (
@@ -273,13 +274,13 @@ def test_max_unique_known_values():
 
 def test_max_unique_capacity():
     with pytest.raises(CapacityError):
-        max_unique_subset_family(6, 2)
+        max_unique_subset_family(search.SEARCH_MAX_GROUND + 1, 2)
 
 
 def test_max_unique_agrees_with_binomial_formula():
     # the search independently confirms the closed form behind min_m_hcs
     for k in (1, 2, 3):
-        for m in range(1, 6):
+        for m in range(1, 7):
             rep = max_unique_subset_family(m, k)
             assert rep.exhausted
             assert rep.best == binom(m, k_prime(m, k)), (m, k)
@@ -399,7 +400,7 @@ def test_pair_bits_are_the_keys():
     cases = [(m, k) for m in range(0, 5) for k in range(1, m + 2)]
     cases += [(5, 1), (5, 2), (5, 3), (6, 2)]
     for m, k in cases:
-        pairs = search._witness_tables(m, k)[3]
+        pairs = search._witness_tables(m, k)[0]
         runs = _pair_runs(m, k)
         width = sum(run.bit_count() for _, run in runs)
         for w in range(1 << m):
@@ -416,7 +417,7 @@ def _check_free_pair_count(members, m, k):
     """|Q| <= the pairs of Q that P does not hold, for every split F = P + Q
     of a nice family F.  Subset ORs are built from the subset less its
     lowest member, so the 2^|F| splits cost one OR each."""
-    pairs = search._witness_tables(m, k)[3]
+    pairs = search._witness_tables(m, k)[0]
     n = len(members)
     held = [0] * (1 << n)
     for q in range(1, 1 << n):
@@ -471,22 +472,86 @@ UNBOUNDED_NODES = {
 
 @pytest.mark.parametrize("name", UNBOUNDED_NODES)
 def test_free_pair_bound_cuts_only_nodes(name, monkeypatch):
-    # With one private pair per word, every candidate but the child brings
-    # a free pair of its own, which the cardinality bound already counts:
-    # the bound is off.  The reports must not change, only the nodes.
+    # With one private pair per word, above the table and outside both
+    # witness masks, every candidate but the child brings a free pair of its
+    # own, which the cardinality bound already counts: the bound is off,
+    # while the witnesses stay as they were.  The reports must not change,
+    # only the nodes.
     run = PINNED_NODES[name][0]
     bounded = run()
     tables = search._witness_tables
 
     def private_pairs(m, k):
-        keep, full, own, _ = tables(m, k)
-        return keep, full, own, tuple(1 << w for w in range(1 << m))
+        pairs, holders, nice, owned, kills = tables(m, k)
+        width = nice.bit_length()
+        private = tuple(p | 1 << (width + w) for w, p in enumerate(pairs))
+        return private, holders, nice, owned, kills
 
     monkeypatch.setattr(search, "_witness_tables", private_pairs)
     unbounded = run()
     assert unbounded.nodes_visited == UNBOUNDED_NODES[name]
     fields = [f for f in type(bounded).__slots__ if f != "nodes_visited"]
     assert [getattr(unbounded, f) for f in fields] == [getattr(bounded, f) for f in fields]
+
+
+# --- the child filter --------------------------------------------------------
+
+
+def _holds(m, k, owned, words):
+    """Whether every member of ``words`` owns a subset of at most k
+    elements (``owned``) or has a separator of at most k elements."""
+    fam = Family(m, tuple(words))
+    return owns_unique_subsets(fam, k) if owned else bool(is_nice(fam, k))
+
+
+@st.composite
+def child_cases(draw):
+    """A family F in a drawn witness mode, a word w that can join it and
+    the words after w that can join it, as the parent's candidates."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    owned = draw(st.booleans())
+
+    def ok(words):
+        return _holds(m, k, owned, words)
+
+    cap = draw(st.integers(0, 10))
+    members = []
+    for x in draw(st.permutations(range(1 << m))):
+        if len(members) == cap:
+            break
+        if ok(members + [x]):
+            members.append(x)
+    joins = [w for w in range(1 << m) if w not in members and ok(members + [w])]
+    if not joins:
+        return m, k, owned, members, None, []
+    w = draw(st.sampled_from(joins))
+    return m, k, owned, members, w, [w2 for w2 in joins if w2 > w]
+
+
+@settings(max_examples=150, deadline=None)
+@given(child_cases())
+def test_child_filter_keeps_exactly_the_words_that_can_join(case):
+    m, k, owned, members, w, later = case
+    if w is None:
+        return
+    dfs = search._DFS(m, k, owned, None, None, search._Budget(None))
+    used = twice = 0
+    for x in members:
+        twice |= used & dfs.pairs[x] & dfs.mask
+        used |= dfs.pairs[x]
+    child, reach, child_twice, slack = dfs.child(members, w, later, used, twice, len(later))
+    assert child == [w2 for w2 in later if _holds(m, k, owned, members + [w, w2])]
+    assert slack == len(child)
+    want = 0
+    for w2 in child:
+        want |= dfs.pairs[w2]
+    assert reach == want
+    assert child_twice == twice | used & dfs.pairs[w] & dfs.mask
+    # with less slack than the words it drops, the child is hopeless
+    dropped = len(later) - len(child)
+    if dropped:
+        assert dfs.child(members, w, later, used, twice, dropped - 1)[3] < 0
 
 
 # --- the root split ----------------------------------------------------------
@@ -546,6 +611,24 @@ def test_split_moves_only_the_g62_count(name, monkeypatch):
     assert whole.nodes_visited == (3504 if name == "g(6,2)" else split.nodes_visited)
     fields = [f for f in type(split).__slots__ if f != "nodes_visited"]
     assert [getattr(whole, f) for f in fields] == [getattr(split, f) for f in fields]
+
+
+def test_kill_memo_is_bounded_and_changes_no_report(monkeypatch):
+    kills = search._witness_tables(6, 3)[4]
+    assert exists_nice_of_size(6, 3, 27, budget_ms=300).status == "budget-exhausted"
+    assert len(kills) <= 1 << 15
+    runs = [lambda: max_nice_size(5, 3), lambda: exists_nice_of_size(6, 2, 16)]
+    memos = [search._witness_tables(m, k)[4] for m, k in ((5, 3), (6, 2))]
+    warm = [_fields(run()) for run in runs]
+    for memo in memos:
+        memo.clear()
+    assert [_fields(run()) for run in runs] == warm
+    # a memo cleared every few masks
+    monkeypatch.setattr(search, "KILLS_MEMO_SIZE", 4)
+    for memo in memos:
+        memo.clear()
+    assert [_fields(run()) for run in runs] == warm
+    assert all(len(memo) <= 4 for memo in memos)
 
 
 def _in_helper(parent=os.getpid()):
