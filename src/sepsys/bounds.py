@@ -1,5 +1,8 @@
 """Closed-form extremal formulas and bound sandwiches.
 
+``min_m_hcs`` is the one minimum formula: Spencer's minimum is its case
+k >= n, and f(n, 2) the smaller of its k = 2 value and ceil(n/2).
+
 Everything is exact integer arithmetic: each least m is found by doubling
 then bisecting over a function nondecreasing in m, with no floating-point
 inversions anywhere, so results are reproducible bit-exactly and a huge n
@@ -31,11 +34,6 @@ class BoundPair(Value):
         _set(self, "upper", upper)
         _set(self, "lower_source", lower_source)
         _set(self, "lower_clamped", lower_clamped)
-
-
-def _require_n(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
 
 
 def _least_m(reaches, lo: int) -> int:
@@ -84,7 +82,8 @@ def min_m_hcs(n: int, k: int) -> int:
     C(m, k'(m, k)) is nondecreasing in m, so the search finds the true
     minimum.
     """
-    _require_n(n)
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     return _least_m(lambda m: binom(m, k_prime(m, k)) >= n, 1)
 
 
@@ -96,18 +95,16 @@ def separating_min(n: int) -> int:
 
 
 def spencer_min(n: int) -> int:
-    """Smallest m whose middle binomial C(m, floor(m/2)) reaches n."""
-    _require_n(n)
-    return _least_m(lambda m: comb(m, m // 2) >= n, 1)
+    """Minimum size of a completely separating system on n elements
+    (Spencer): the k >= n case of min_m_hcs, where k'(m, n) = floor(m/2)."""
+    return min_m_hcs(n, n)
 
 
 def f2_exact(n: int) -> int:
-    """Exact minimum size of a 2-hyperseparating system on n elements:
-    ceil(n/2) up to n = 10, then the smallest m with C(m, 2) >= n."""
-    _require_n(n)
-    if n <= 10:  # both branches give 5 at n = 10
-        return (n + 1) // 2
-    return _least_m(lambda m: comb(m, 2) >= n, 2)
+    """Exact minimum size of a 2-hyperseparating system on n elements; the
+    forms agree for n = 9..12, so this is ceil(n/2) up to n = 10, then the
+    smallest m with C(m, 2) >= n."""
+    return min((n + 1) // 2, min_m_hcs(n, 2))
 
 
 def f_bounds(n: int, k: int) -> BoundPair:

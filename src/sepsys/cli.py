@@ -54,7 +54,7 @@ def parse_family(text: str) -> Family:
 def parse_family_json(text: str) -> Family:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the latter: nested too deep
         raise ValueError(f"invalid JSON document: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
@@ -142,6 +142,13 @@ def _need(args, *flags: str, what: str) -> None:
     for flag in flags:
         if getattr(args, flag) is None:
             raise ValueError(f"--{flag} is required for {what}")
+
+
+def _reject(args, *flags: str, what: str) -> None:
+    """Reject the command line if any of the named flags was given."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} has no effect on {what}")
 
 
 class _Property(NamedTuple):
@@ -276,19 +283,21 @@ def _budget_ms(args) -> int | None:
     return budget
 
 
-# search problem -> the flags it requires
+# search problem -> (the flags it requires, the optional flags it ignores)
 PROBLEMS = {
-    "g": ("m",),
-    "exists": ("m", "n"),
-    "min-m": ("n",),
-    "unique-subset": ("m",),
-    "pair-family": ("m",),
+    "g": (("m",), ("m_max",)),
+    "exists": (("m", "n"), ("m_max",)),
+    "min-m": (("n",), ("no_symmetry",)),
+    "unique-subset": (("m",), ("m_max",)),
+    "pair-family": (("m",), ("m_max", "budget_ms", "no_symmetry")),
 }
 
 
 def cmd_search(args) -> int:
     problem = args.problem
-    _need(args, *PROBLEMS[problem], what=f"problem {problem!r}")
+    needs, ignores = PROBLEMS[problem]
+    _need(args, *needs, what=f"problem {problem!r}")
+    _reject(args, *ignores, what=f"problem {problem!r}")
     budget = _budget_ms(args)
     sym = not args.no_symmetry
     k = args.k if args.k is not None else 2
@@ -412,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int)
     sp.add_argument("--m-max", type=int)
     sp.add_argument("--budget-ms", type=int)
-    sp.add_argument("--no-symmetry", action="store_true")
+    sp.add_argument("--no-symmetry", action="store_true", default=None)
     common(sp)
     sp.set_defaults(func=cmd_search)
 

@@ -1,12 +1,15 @@
 """Explicit constructions and the constructive proof devices.
 
 Every constructor returns a family that passes its target oracle; the sizes
-match the closed-form formulas in ``bounds`` exactly.
+match the closed-form formulas in ``bounds`` exactly.  ``k_hcs_minimal`` is
+the one subset-assignment construction: Spencer's systems are its case
+k >= n, and the minimum 2-hyperseparating systems are its k = 2 case
+wherever that reaches f(n, 2).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .core import (
     Family,
@@ -20,7 +23,7 @@ from .core import (
 )
 from .core import Value, _set
 from .verify import is_nice, words_of_size
-from .bounds import binom, f2_exact, k_prime, min_m_hcs, spencer_min
+from .bounds import binom, f2_exact, k_prime, min_m_hcs, separating_min
 
 CASE_KEYS_DIFFER_BY_ONE = "SharedSeparatorKeysDifferByOne"
 CASE_KEYS_DIFFER_BY_TWO = "SharedSeparatorKeysDifferByTwo"
@@ -45,46 +48,33 @@ class ReductionOutcome(Value):
 
 def binary_separating(n: int) -> Family:
     """Separating system from binary digits: member i holds the ground
-    elements whose i-th bit is one.  ceil(log2 n) members."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    elements whose i-th bit is one.  separating_min(n) members."""
+    m = separating_min(n)
     _check_ground(n)
-    return dual(family_from_words((n - 1).bit_length(), range(n)))
-
-
-def _subset_assignment(m: int, j: int, n: int) -> list[tuple[int, ...]]:
-    """First n j-subsets of range(m) in lexicographic order.
-
-    They cover the ground, so no member of the dual is empty: element
-    u >= j-1 first appears in subset number u-j+2 (counting from 1), so the
-    first m-j+1 subsets cover everything.  Both callers take the least m
-    with C(m, j) >= n for their subset size j = j(m) >= 1, whence
-    n > C(m-1, j(m-1)) >= m-1 >= m-j (the binomial is at least m-1 because
-    0 < j(m-1) < m-1 once m > 2, and C(1, j) = 1 at m = 2).
-    """
-    subs = list(combinations(range(m), j))
-    if n > len(subs):
-        raise ValueError(f"cannot pick {n} distinct {j}-subsets of {m} elements")
-    return subs[:n]
-
-
-def _dual_of_assigned_subsets(n: int, m: int, j: int) -> Family:
-    _check_ground(n)  # before building n subsets that could not fit
-    return dual(new_family(m, _subset_assignment(m, j, n)))
-
-
-def spencer_completely_separating(n: int) -> Family:
-    """Minimum completely separating system: assign each element a distinct
-    middle-layer subset and dualize."""
-    m = spencer_min(n)
-    return _dual_of_assigned_subsets(n, m, m // 2)
+    return dual(family_from_words(m, range(n)))
 
 
 def k_hcs_minimal(n: int, k: int) -> Family:
     """Minimum k-hypercompletely separating system: assign each element a
-    distinct k'-subset and dualize.  Exactly min_m_hcs(n, k) members."""
+    distinct k'-subset and dualize.  Exactly min_m_hcs(n, k) members.
+
+    The elements take the first n k'-subsets of range(m) in lexicographic
+    order.  They cover the ground, so no member of the dual is empty: index
+    u >= k'-1 first appears in subset number u-k'+2 (counting from 1), so
+    the first m-k'+1 subsets cover everything, and m is least with
+    C(m, k'(m)) >= n, whence n > C(m-1, k'(m-1)) >= m-1 >= m-k' (the
+    binomial is at least m-1 because 0 < k'(m-1) < m-1 once m > 2, and
+    C(1, k'(1)) = 1 at m = 2).
+    """
     m = min_m_hcs(n, k)
-    return _dual_of_assigned_subsets(n, m, k_prime(m, k))
+    _check_ground(n)  # before building n subsets that could not fit
+    return dual(new_family(m, islice(combinations(range(m), k_prime(m, k)), n)))
+
+
+def spencer_completely_separating(n: int) -> Family:
+    """Minimum completely separating system (Spencer): k_hcs_minimal with
+    k >= n, which assigns each element a distinct middle-layer subset."""
+    return k_hcs_minimal(n, n)
 
 
 _NICE_SMALL = {
@@ -106,23 +96,16 @@ def nice_small_m(m: int) -> Family:
 def hyperseparating_minimal_2(n: int) -> Family:
     """2-hyperseparating system of the exact minimum size f2_exact(n).
 
-    For n <= 10 this is the dual of a size-2m nice family on m = ceil(n/2)
-    elements: the explicit small families up to m = 4, and the family of all
-    2-subsets for m = 5 (each member is its own separator).  The last member
-    is dropped when n is odd; removing a member can only relax the
-    uniqueness constraints, so niceness survives.  For n >= 11 the
-    k-hypercompletely-separating construction is already optimal.
+    Where min_m_hcs(n, 2) reaches f2_exact(n) (n >= 9) the
+    k-hypercompletely-separating construction is already optimal.  Below,
+    it is the dual of the first n members of the size-2m nice family on
+    m = ceil(n/2) elements; removing a member can only relax the
+    uniqueness constraints, so niceness survives.
     """
-    if n >= 11:
-        return k_hcs_minimal(n, 2)
     m = f2_exact(n)
-    if m == 5:
-        d = new_family(5, [list(s) for s in combinations(range(5), 2)])
-    else:
-        d = nice_small_m(m)
-    if n % 2:
-        d = Family(d.ground_size, d.members[:-1])
-    return dual(d)
+    if min_m_hcs(n, 2) == m:
+        return k_hcs_minimal(n, 2)
+    return dual(Family(m, nice_small_m(m).members[:n]))
 
 
 def antichain_lift(f: Family) -> Family:

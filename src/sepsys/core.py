@@ -189,8 +189,7 @@ def switch(f: Family, v: int) -> Family:
     """Complement ground element v's membership across all members."""
     if not 0 <= v < f.ground_size:
         raise ValueError(f"element {v} out of range for ground size {f.ground_size}")
-    b = 1 << v
-    return Family(f.ground_size, tuple(w ^ b for w in f.members))
+    return switch_set(f, 1 << v)
 
 
 def switch_set(f: Family, mask: int) -> Family:

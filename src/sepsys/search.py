@@ -535,9 +535,13 @@ def max_nice_size(
 
     The example is the lexicographically least optimum visited.
     """
-    _check_mk(m, k, m_cap=SEARCH_MAX_GROUND)
-    group = PERMUTATIONS_AND_SWITCHING if use_symmetry else None
-    members, exhausted, nodes = _search(m, k, group, None, _Budget(budget_ms))
+    return _max_family(m, k, budget_ms, use_symmetry, PERMUTATIONS_AND_SWITCHING, owned=False)
+
+
+def _max_family(m, k, budget_ms, use_symmetry, group, owned) -> SearchReport:
+    _check_mk(m, k)
+    group = group if use_symmetry else None
+    members, exhausted, nodes = _search(m, k, group, None, _Budget(budget_ms), owned=owned)
     return SearchReport(
         len(members), Family(m, members), exhausted, nodes, wall_budget_ms=budget_ms
     )
@@ -551,7 +555,7 @@ def exists_nice_of_size(
     use_symmetry: bool = True,
 ) -> ExistenceResult:
     """Decision form of max_nice_size with early exit on the first witness."""
-    _check_mk(m, k, m_cap=SEARCH_MAX_GROUND)
+    _check_mk(m, k)
     if target_n < 0:
         raise ValueError(f"target_n must be >= 0, got {target_n}")
     if target_n > 1 << m:
@@ -581,7 +585,7 @@ def min_m_hyperseparating(
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    _check_mk(m_max, k, m_cap=SEARCH_MAX_GROUND)  # before 1 << m_max, and before any level runs
+    _check_mk(m_max, k)  # before 1 << m_max, and before any level runs
     if n > 1 << m_max:
         raise ValueError(f"n = {n} exceeds 2^m_max = {1 << m_max}")
     budget = _Budget(budget_ms)  # one deadline for every level
@@ -618,12 +622,7 @@ def max_unique_subset_family(
     Symmetry reduction uses relabelings only; switching does not preserve
     the ownership property.
     """
-    _check_mk(m, k, m_cap=SEARCH_MAX_GROUND)
-    group = PERMUTATIONS_ONLY if use_symmetry else None
-    members, exhausted, nodes = _search(m, k, group, None, _Budget(budget_ms), owned=True)
-    return SearchReport(
-        len(members), Family(m, members), exhausted, nodes, wall_budget_ms=budget_ms
-    )
+    return _max_family(m, k, budget_ms, use_symmetry, PERMUTATIONS_ONLY, owned=True)
 
 
 def max_pair_family(m: int, k: int) -> SearchReport:
@@ -635,10 +634,7 @@ def max_pair_family(m: int, k: int) -> SearchReport:
     over the separators carrying the key: a separator owns itself, so it
     keeps a witness exactly while it is incomparable with the others.
     """
-    if not 1 <= k <= 2:
-        raise ValueError(f"k must be 1 or 2, got {k}")
-    if not 1 <= m <= SEARCH_MAX_GROUND:
-        raise CapacityError(f"m must be in 1..{SEARCH_MAX_GROUND}, got {m}")
+    _check_mk(m, k)
     words = range(1 << m)
     budget = _Budget(None)
     nodes = 0
@@ -653,10 +649,10 @@ def max_pair_family(m: int, k: int) -> SearchReport:
     return SearchReport(len(pairs), None, True, nodes, example_pairs=tuple(pairs))
 
 
-def _check_mk(m: int, k: int, m_cap: int) -> None:
+def _check_mk(m: int, k: int) -> None:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m > m_cap:
-        raise CapacityError(f"m = {m} exceeds the exhaustive-search cap of {m_cap}")
+    if m > SEARCH_MAX_GROUND:
+        raise CapacityError(f"m = {m} exceeds the exhaustive-search cap of {SEARCH_MAX_GROUND}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -74,6 +74,20 @@ def test_spencer_min_values():
     assert spencer_min(71) == 9
 
 
+def test_spencer_min_and_f2_exact_match_binomial_loops():
+    # references counted up from m = 1, independent of min_m_hcs
+    def least_m(reaches):
+        m = 1
+        while not reaches(m):
+            m += 1
+        return m
+
+    for n in range(2, 2001):
+        assert spencer_min(n) == least_m(lambda m: comb(m, m // 2) >= n), n
+        two = least_m(lambda m: comb(m, 2) >= n)
+        assert f2_exact(n) == ((n + 1) // 2 if n <= 10 else two), n
+
+
 def test_f2_exact_values():
     assert f2_exact(10) == 5  # both branches meet here
     assert f2_exact(8) == 4

@@ -416,6 +416,9 @@ def test_search_unique_subset_and_pair_family(capsys):
     assert code == EXIT_OK and "max-pair-family(4,2) = 24" in out
     pairs = json.loads(out.splitlines()[-1])
     assert len(pairs["pairs"]) == 24
+    # every k >= 1 is a pair-family problem, as for the other searches
+    code, out, _ = run(capsys, ["search", "--problem", "pair-family", "--m", "5", "--k", "3"])
+    assert code == EXIT_OK and "max-pair-family(5,3) = 80 (exhausted)" in out
 
 
 def test_search_deterministic_output(capsys):
@@ -444,6 +447,24 @@ def test_search_usage_errors(capsys):
     # a negative budget is refused
     code, out, err = run(capsys, ["search", "--problem", "g", "--m", "3", "--budget-ms", "-1"])
     assert code == EXIT_USAGE and out == "" and "error: a budget must be >= 0 ms, got -1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--problem", "min-m", "--n", "11", "--no-symmetry"], "--no-symmetry"),
+        (["--problem", "pair-family", "--m", "4", "--no-symmetry"], "--no-symmetry"),
+        (["--problem", "pair-family", "--m", "4", "--budget-ms", "0"], "--budget-ms"),
+        (["--problem", "g", "--m", "4", "--m-max", "4"], "--m-max"),
+    ],
+    ids=["min-m_no-symmetry", "pair-family_no-symmetry", "pair-family_budget-ms", "g_m-max"],
+)
+def test_search_rejects_flags_the_problem_ignores(capsys, argv, flag):
+    # a flag that would silently change nothing must not pass for an
+    # unreduced or bounded run
+    code, out, err = run(capsys, ["search", *argv])
+    assert code == EXIT_USAGE and out == ""
+    assert f"error: {flag} has no effect on problem '{argv[1]}'" in err
 
 
 # --- table -------------------------------------------------------------------
@@ -748,12 +769,16 @@ def test_traced_benchmark_child_runs_canon(tmp_path):
 def test_module_entry_point_exit_codes(tmp_path):
     # run as a user would, so an uncaught exception shows as a traceback
     env = _cli_env()
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"ground_size":2,"sets":' + "[" * 200_000 + "]" * 200_000 + "}")
     cases = [
         (["construct", "--kind", "binary", "--n", "5"], "", EXIT_OK),
         (["verify", "--property", "separating"], '{"ground_size":2,"sets":[[0,1]]}', EXIT_FAIL),
         (["verify", "--property", "separating", "--input", str(tmp_path / "no.json")], "", EXIT_USAGE),
         (["verify", "--property", "nice"], '{"ground_size":1,"sets":[[0]]}', EXIT_USAGE),
         (["canon"], "{bad json", EXIT_USAGE),
+        # nested past the decoder's recursion limit: invalid input, not a FAIL
+        (["verify", "--property", "separating", "--input", str(deep)], "", EXIT_USAGE),
         (["search", "--problem", "exists", "--m", "4"], "", EXIT_USAGE),
         (["verify"], "", EXIT_USAGE),
     ]

@@ -868,7 +868,7 @@ def _naive_pair_max(m, k):
 
 def test_max_pair_family_matches_naive():
     for m in (2, 3):
-        for k in (1, 2):
+        for k in (1, 2, 3):
             assert max_pair_family(m, k).best == _naive_pair_max(m, k), (m, k)
 
 
@@ -878,10 +878,12 @@ def test_max_pair_family_known_values():
     assert max_pair_family(3, 1).best == 6
     # below the m >= 2k threshold the bound does not apply
     assert max_pair_family(2, 2).best == 5
+    assert max_pair_family(5, 3).best == 80
+    assert max_pair_family(6, 3).best == 160  # 2^3 * C(6, 3)
 
 
 def test_max_pair_family_examples_validate():
-    for m, k in ((2, 1), (3, 1), (4, 2), (5, 2)):
+    for m, k in ((2, 1), (3, 1), (4, 2), (5, 2), (5, 3), (5, 4), (5, 5)):
         rep = max_pair_family(m, k)
         assert len(rep.example_pairs) == rep.best
         assert pair_family_valid(list(rep.example_pairs), m, k) is True
@@ -903,13 +905,13 @@ def test_max_pair_family_example_pinned():
 
 
 def test_max_pair_family_bound_direction():
-    for k in (1, 2):
+    for k in (1, 2, 3):
         for m in range(2 * k, 7):
             assert max_pair_family(m, k).best == (1 << k) * binom(m, k), (m, k)
 
 
 def test_max_pair_family_validates_inputs():
     with pytest.raises(ValueError):
-        max_pair_family(4, 3)
+        max_pair_family(4, 0)
     with pytest.raises(CapacityError):
         max_pair_family(7, 2)
