@@ -6,14 +6,16 @@ first line is "m n" followed by n rows of m '0'/'1' characters (columns are
 ground elements, rows are members).  Output is byte-deterministic for a
 fixed command line.
 
-Exit codes: 0 success/PASS, 1 property FAIL or table mismatch, 2 usage or
-input error, 3 internal self-verification failure.
+Exit codes: 0 success/PASS, 1 property FAIL, table mismatch or a stdout
+closed before the output was written, 2 usage or input error, 3 internal
+self-verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -283,21 +285,25 @@ def _budget_ms(args) -> int | None:
     return budget
 
 
-# search problem -> (the flags it requires, the optional flags it ignores)
+# search problem -> (the flags it requires, the optional flags it reads);
+# every problem reads --k and --format, and a flag that another problem
+# takes and this one does not is refused
 PROBLEMS = {
-    "g": (("m",), ("m_max",)),
-    "exists": (("m", "n"), ("m_max",)),
-    "min-m": (("n",), ("no_symmetry",)),
-    "unique-subset": (("m",), ("m_max",)),
-    "pair-family": (("m",), ("m_max", "budget_ms", "no_symmetry")),
+    "g": (("m",), ("budget_ms", "no_symmetry")),
+    "exists": (("m", "n"), ("budget_ms", "no_symmetry")),
+    "min-m": (("n",), ("m_max", "budget_ms")),
+    "unique-subset": (("m",), ("budget_ms", "no_symmetry")),
+    "pair-family": (("m",), ()),
 }
 
 
 def cmd_search(args) -> int:
     problem = args.problem
-    needs, ignores = PROBLEMS[problem]
+    needs, reads = PROBLEMS[problem]
     _need(args, *needs, what=f"problem {problem!r}")
-    _reject(args, *ignores, what=f"problem {problem!r}")
+    others = (flag for row in PROBLEMS.values() for flag in row[0] + row[1])
+    _reject(args, *(flag for flag in others if flag not in needs + reads),
+            what=f"problem {problem!r}")
     budget = _budget_ms(args)
     sym = not args.no_symmetry
     k = args.k if args.k is not None else 2
@@ -346,11 +352,12 @@ def cmd_search(args) -> int:
             raise SelfCheckError("pair family failed its recheck")
         print(f"max-pair-family({args.m},{k}) = {rep.best} ({_status(rep.exhausted)})")
         print(f"nodes: {rep.nodes_visited}")
-        doc = [
-            {"separator": bits(w.separator), "key": bits(w.key)}
-            for w in pairs
-        ]
-        print(json.dumps({"pairs": doc}, separators=(",", ":")))
+        if args.format == "text":
+            for w in pairs:
+                print(f"separator {_fmt_set(w.separator)} key {_fmt_set(w.key)}")
+        else:
+            doc = [{"separator": bits(w.separator), "key": bits(w.key)} for w in pairs]
+            print(json.dumps({"pairs": doc}, separators=(",", ":")))
     return EXIT_OK
 
 
@@ -452,7 +459,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit cannot fail again (the SIGPIPE note in the docs
+        # of Python's signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAIL
     except SelfCheckError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_SELFCHECK

@@ -7,9 +7,10 @@ bit-exactly.
 
 This module owns the separator table, ``separator_table(m, k)``: the sets
 of at most k elements in that order and, for every word d, the mask of
-those that meet d.  ``is_nice`` and ``find_separator`` read it on grounds
-up to SEPARATOR_TABLE_MAX_GROUND and scan lazily above it; the search
-builds its witness table from it.
+those that meet d.  ``is_nice`` reads it on grounds up to
+SEPARATOR_TABLE_MAX_GROUND and calls ``find_separator``, a lazy scan of
+the sets that reads no table, above it; the search builds its witness
+table from it.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ def words_of_size(m: int, size: int):
     """All words with `size` bits among the low m, in ascending word order."""
     if size == 0:
         yield 0
-        return
-    if size > m:
         return
     limit = 1 << m
     w = (1 << size) - 1
@@ -204,95 +203,62 @@ def _separator_table(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return seps, tuple(meet)
 
 
-def _separator_mask(ws, i: int, meet, full: int) -> int:
-    """The table mask of member i's separators: those meeting ws[i] ^ w for
-    every other member w.  A duplicate of ws[i] reads meet[0] = 0."""
-    wi = ws[i]
-    alive = full
-    for j, w in enumerate(ws):
-        if j != i:
-            alive &= meet[wi ^ w]
-            if not alive:
-                break
-    return alive
-
-
-def _lowest_separator(wi: int, alive: int, seps) -> SeparatorWitness:
-    """Member wi's witness for the lowest set bit of its nonzero mask."""
-    S = seps[(alive & -alive).bit_length() - 1]
-    return SeparatorWitness(S, wi & S)
-
-
-def _candidates(m: int, k: int, drawn: list[int]):
-    """Every set of at most k elements in (size, value) order, each appended
-    to ``drawn`` as it is yielded.  No set has more than m elements."""
-    for size in range(min(k, m) + 1):
-        for S in words_of_size(m, size):
-            drawn.append(S)
-            yield S
-
-
-def _first_separator(wi: int, others, drawn: list[int], fresh) -> SeparatorWitness | None:
-    """The first set S in (size, value) order on which member wi differs from
-    every word in ``others``, or None.  The sets ``drawn`` so far are tried
-    before ``fresh`` draws more, so one family's scans share one enumeration."""
-    for S in chain(drawn, fresh):
-        key = wi & S
-        if key not in map(S.__and__, others):
-            return SeparatorWitness(S, key)
-    return None
-
-
 def find_separator(d: Family, i: int, k: int) -> SeparatorWitness | None:
     """Deterministic separator for member i of a dual family, or None.
 
-    Returns the first set S of at most k elements, in (size, numeric word
-    value) order, whose intersection with member i differs from its
-    intersection with every other member: the lowest bit of member i's
-    separator-table mask on grounds up to SEPARATOR_TABLE_MAX_GROUND, else
-    the first hit of a lazy scan.  Returns None when no separator exists (in
-    particular when member i has a duplicate).
+    Scans the sets of at most k elements in (size, numeric word value) order
+    and returns the first S on which member i's key, its intersection with
+    S, differs from every other member's.  Returns None when no separator
+    exists (in particular when member i has a duplicate).  This is the
+    reference scan; it reads no table and stops at the first set that
+    settles member i.
     """
     if not 0 <= i < len(d.members):
         raise ValueError(f"member index {i} out of range for {len(d.members)} members")
     _require_k(k)
     ws, m = d.members, d.ground_size
-    if m <= SEPARATOR_TABLE_MAX_GROUND:
-        seps, meet = separator_table(m, k)
-        alive = _separator_mask(ws, i, meet, (1 << len(seps)) - 1)
-        return _lowest_separator(ws[i], alive, seps) if alive else None
-    drawn: list[int] = []
-    return _first_separator(ws[i], ws[:i] + ws[i + 1:], drawn, _candidates(m, k, drawn))
+    wi, others = ws[i], ws[:i] + ws[i + 1:]
+    for size in range(min(k, m) + 1):
+        for S in words_of_size(m, size):
+            key = wi & S
+            if key not in map(S.__and__, others):
+                return SeparatorWitness(S, key)
+    return None
 
 
 def is_nice(d: Family, k: int) -> Certificate:
     """Every member of the dual family has a separator of size <= k.
 
-    The witnesses and the failing member are those of find_separator: read
-    off the separator table on grounds up to SEPARATOR_TABLE_MAX_GROUND,
-    else scanned lazily with one enumeration of the candidate sets shared by
-    the whole family."""
+    The witnesses and the failing member are those of find_separator.  On
+    grounds up to SEPARATOR_TABLE_MAX_GROUND they are read off the separator
+    table: member i's separators are the AND of ``meet[ws[i] ^ w]`` over the
+    other members, and its witness is the lowest bit of that mask.  Above
+    the cap each member is scanned with find_separator."""
     _require_k(k)
     ws, m = d.members, d.ground_size
-    if m <= SEPARATOR_TABLE_MAX_GROUND:
-        seps, meet = separator_table(m, k)
-        full = (1 << len(seps)) - 1
-        masks = []
-        for i in range(len(ws)):
-            alive = _separator_mask(ws, i, meet, full)
-            if not alive:
-                return Certificate(NICE, False, k=k, failure=i)
-            masks.append(alive)
-        wits = [_lowest_separator(wi, alive, seps) for wi, alive in zip(ws, masks)]
-    else:
-        drawn: list[int] = []
-        fresh = _candidates(m, k, drawn)
+    if m > SEPARATOR_TABLE_MAX_GROUND:
         wits = []
-        for i, wi in enumerate(ws):
-            w = _first_separator(wi, ws[:i] + ws[i + 1:], drawn, fresh)
-            if w is None:
+        for i in range(len(ws)):
+            wit = find_separator(d, i, k)
+            if wit is None:
                 return Certificate(NICE, False, k=k, failure=i)
-            wits.append(w)
+            wits.append(wit)
+        return Certificate(NICE, True, k=k, witnesses=tuple(wits))
+    seps, meet = separator_table(m, k)
+    full = (1 << len(seps)) - 1
+    masks = []
+    for i, wi in enumerate(ws):
+        alive = full
+        for j, w in enumerate(ws):
+            if j != i:
+                alive &= meet[wi ^ w]  # a duplicate of wi reads meet[0] = 0
+                if not alive:
+                    return Certificate(NICE, False, k=k, failure=i)
+        masks.append(alive)
+    wits = []
+    for wi, alive in zip(ws, masks):
+        S = seps[(alive & -alive).bit_length() - 1]
+        wits.append(SeparatorWitness(S, wi & S))
     return Certificate(NICE, True, k=k, witnesses=tuple(wits))
 
 

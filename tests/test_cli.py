@@ -229,6 +229,19 @@ def test_unreadable_input_is_usage_error(capsys, tmp_path, argv):
     assert code == EXIT_USAGE and "cannot read --input" in err
 
 
+def test_verify_reads_input_file(capsys, tmp_path):
+    doc = tmp_path / "m4.txt"
+    doc.write_text("4 3\n1100\n1010\n0110\n")
+    code, out, err = run(capsys, ["verify", "--property", "nice", "--k", "2", "--input", str(doc)])
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines() == [
+        "PASS nice k=2",
+        "  member 0 {0,1}: separator {2} key {}",
+        "  member 1 {0,2}: separator {1} key {}",
+        "  member 2 {1,2}: separator {0} key {}",
+    ]
+
+
 # --- construct ---------------------------------------------------------------
 
 
@@ -421,6 +434,25 @@ def test_search_unique_subset_and_pair_family(capsys):
     assert code == EXIT_OK and "max-pair-family(5,3) = 80 (exhausted)" in out
 
 
+def test_search_pair_family_formats(capsys):
+    argv = ["search", "--problem", "pair-family", "--m", "2", "--k", "1"]
+    head = ["max-pair-family(2,1) = 4 (exhausted)", "nodes: 8"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert out.splitlines() == head + [
+        '{"pairs":[{"separator":[0],"key":[]},{"separator":[1],"key":[]},'
+        '{"separator":[0],"key":[0]},{"separator":[1],"key":[1]}]}'
+    ]
+    code, out, _ = run(capsys, [*argv, "--format", "text"])
+    assert code == EXIT_OK
+    assert out.splitlines() == head + [
+        "separator {0} key {}",
+        "separator {1} key {}",
+        "separator {0} key {0}",
+        "separator {1} key {1}",
+    ]
+
+
 def test_search_deterministic_output(capsys):
     a = run(capsys, ["search", "--problem", "g", "--m", "4", "--k", "2"])
     c = run(capsys, ["search", "--problem", "g", "--m", "4", "--k", "2", "--no-symmetry"])
@@ -433,6 +465,25 @@ def test_search_budget_env(capsys):
     )
     assert code == EXIT_OK
     assert "budget-exhausted" in out
+
+
+def test_search_exists_expired_budget_fails(capsys):
+    code, out, _ = run(
+        capsys, ["search", "--problem", "exists", "--m", "5", "--n", "11", "--budget-ms", "0"]
+    )
+    assert code == EXIT_FAIL
+    assert out.splitlines()[0] == "exists(m=5,k=2,n=11): budget-exhausted"
+
+
+def test_search_min_m_not_found(capsys):
+    # a proven absence up to m_max is an answer; an expired budget is not
+    argv = ["search", "--problem", "min-m", "--n", "11", "--m-max", "5"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert "f(11,2) not found up to m_max=5 (exhausted)" in out.splitlines()
+    code, out, _ = run(capsys, [*argv, "--budget-ms", "0"])
+    assert code == EXIT_FAIL
+    assert "f(11,2) not found up to m_max=5 (budget-exhausted)" in out.splitlines()
 
 
 def test_search_usage_errors(capsys):
@@ -456,8 +507,13 @@ def test_search_usage_errors(capsys):
         (["--problem", "pair-family", "--m", "4", "--no-symmetry"], "--no-symmetry"),
         (["--problem", "pair-family", "--m", "4", "--budget-ms", "0"], "--budget-ms"),
         (["--problem", "g", "--m", "4", "--m-max", "4"], "--m-max"),
+        (["--problem", "min-m", "--n", "5", "--m", "3"], "--m"),
+        (["--problem", "g", "--m", "3", "--n", "99"], "--n"),
+        (["--problem", "unique-subset", "--m", "3", "--n", "9"], "--n"),
+        (["--problem", "pair-family", "--m", "3", "--n", "9"], "--n"),
     ],
-    ids=["min-m_no-symmetry", "pair-family_no-symmetry", "pair-family_budget-ms", "g_m-max"],
+    ids=["min-m_no-symmetry", "pair-family_no-symmetry", "pair-family_budget-ms", "g_m-max",
+         "min-m_m", "g_n", "unique-subset_n", "pair-family_n"],
 )
 def test_search_rejects_flags_the_problem_ignores(capsys, argv, flag):
     # a flag that would silently change nothing must not pass for an
@@ -642,7 +698,8 @@ def test_search_self_check_sentinel(capsys, monkeypatch, problem, name, result):
     # a search returning a family that is not nice must exit 3 and print nothing
     bad = Family(2, (0b01, 0b01))
     monkeypatch.setattr(cli.search, name, lambda *a, **kw: result(bad))
-    code, out, err = run(capsys, ["search", "--problem", problem, "--m", "2", "--n", "2"])
+    sizes = {"g": ["--m", "2"], "exists": ["--m", "2", "--n", "2"], "min-m": ["--n", "2"]}
+    code, out, err = run(capsys, ["search", "--problem", problem, *sizes[problem]])
     assert code == 3
     assert out == ""
     assert "internal error" in err
@@ -789,3 +846,19 @@ def test_module_entry_point_exit_codes(tmp_path):
         )
         assert proc.returncode == want, (argv, proc.returncode, proc.stderr)
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader is gone before the command writes: `dual` reads its whole
+    # input first, and the read end is closed before any input is sent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepsys.cli", "dual"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    proc.stdout.close()
+    proc.stdin.write(_DOC.encode())
+    proc.stdin.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_FAIL, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err

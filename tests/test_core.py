@@ -54,6 +54,11 @@ def test_new_family_rejects_out_of_range_index():
         new_family(1, [[1]])
 
 
+def test_new_family_rejects_negative_ground():
+    with pytest.raises(ValueError, match="ground_size must be >= 0, got -1"):
+        new_family(-1, [])
+
+
 def test_new_family_rejects_oversized_ground():
     with pytest.raises(CapacityError):
         new_family(65, [])
@@ -137,6 +142,12 @@ def test_switch_set_composes_switches():
     assert switch_set(f, 0b101) == switch(switch(f, 0), 2)
 
 
+def test_switch_set_rejects_mask_outside_ground():
+    f = new_family(3, [[0], [1, 2]])
+    with pytest.raises(ValueError, match="outside ground size 3"):
+        switch_set(f, 1 << f.ground_size)
+
+
 def test_relabel_identity_and_transposition():
     f = new_family(2, [[0]])
     assert relabel(f, [0, 1]) == f
@@ -182,6 +193,11 @@ def test_canonical_form_of_empty_family():
     f = new_family(3, [])
     for group in (PERMUTATIONS_ONLY, PERMUTATIONS_AND_SWITCHING):
         assert canonical_form(f, group) == f
+
+
+def test_canonical_form_rejects_unknown_group():
+    with pytest.raises(ValueError, match="unknown symmetry group 'bogus'"):
+        canonical_form(new_family(3, [[0], [1, 2]]), "bogus")
 
 
 def test_canonical_form_capacity_error():

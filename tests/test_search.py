@@ -206,6 +206,11 @@ def test_exists_nice_budget_status():
     assert res.status == "budget-exhausted"
 
 
+def test_exists_nice_rejects_negative_target():
+    with pytest.raises(ValueError, match="target_n must be >= 0, got -1"):
+        exists_nice_of_size(5, 2, -1)
+
+
 # --- min_m_hyperseparating ---------------------------------------------------
 
 
