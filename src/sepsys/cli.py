@@ -206,10 +206,13 @@ def _self_check(prop: str, f: Family | None, k: int | None, what: str):
 
 
 def cmd_verify(args) -> int:
-    f = _read_input(args)
     prop = PROPERTIES[args.property]
+    what = f"property {args.property!r}"
     if prop.takes_k:
-        _need(args, "k", what=f"property {args.property!r}")
+        _need(args, "k", what=what)
+    else:
+        _reject(args, "k", what=what)
+    f = _read_input(args)
     cert = _oracle(args.property, f, args.k)
     if not cert:
         print(f"FAIL {args.property}: counterexample {cert.failure}")
@@ -241,7 +244,11 @@ def cmd_construct(args) -> int:
     kind = KINDS[args.kind]
     k_flag = kind.k is None and PROPERTIES[kind.prop].takes_k
     flags = ("k", kind.size) if k_flag else (kind.size,)
-    _need(args, *flags, what=f"kind {args.kind!r}")
+    what = f"kind {args.kind!r}"
+    _need(args, *flags, what=what)
+    # a size flag another kind reads, or --k, that this kind does not read
+    others = sorted({row.size for row in KINDS.values()} | {"k"})
+    _reject(args, *(flag for flag in others if flag not in flags), what=what)
     build, size = getattr(construct, kind.build), getattr(args, kind.size)
     fam = build(size, args.k) if k_flag else build(size)
     k = args.k if k_flag else kind.k
@@ -368,8 +375,12 @@ def _status(exhausted: bool) -> str:
 def cmd_table(args) -> int:
     n_max = args.n_max
     check_up_to = args.check_search_up_to
+    if n_max < 2:
+        raise ValueError(f"--n-max must be >= 2, got {n_max}")
     if n_max > 200:
         raise ValueError(f"--n-max is capped at 200, got {n_max}")
+    if check_up_to < 0:
+        raise ValueError(f"--check-search-up-to must be >= 0, got {check_up_to}")
     if check_up_to > 12:
         raise ValueError(f"--check-search-up-to is capped at 12, got {check_up_to}")
     budget = _budget_ms(args)
@@ -397,15 +408,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, input_doc=False):
-        sp.add_argument("--format", choices=("json", "text"), default="json")
+    def common(sp, input_doc=False, output_doc=True):
+        if output_doc:
+            sp.add_argument("--format", choices=("json", "text"), default="json")
         if input_doc:
             sp.add_argument("--input", help="read the family document from a file instead of stdin")
 
     sp = sub.add_parser("verify", help="check a separation property of a family document")
     sp.add_argument("--property", required=True, choices=PROPERTIES)
     sp.add_argument("--k", type=int)
-    common(sp, input_doc=True)
+    common(sp, input_doc=True, output_doc=False)  # it prints a report, not a document
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("construct", help="emit a self-verified construction")

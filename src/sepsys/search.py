@@ -23,11 +23,12 @@ built, and the cardinality bound ``size + candidates`` counts only addable
 words.  The witnesses come from ``verify.separator_table``, which owns the
 table that ``is_nice`` reads too.
 
-Nice families count every pair.  A member that must own a subset T of
-itself, contained in no other member, counts only the pairs (T, T): a word
-holds (T, T) exactly when T <= w.  A pair family is, per key, such a
-search over separators of at most k elements; each owns itself, so it
-keeps a witness while it is incomparable with every other member.
+Each model has its own pair table.  Nice families hold every pair.  A
+member that must own a subset T of itself, contained in no other member,
+has only the pairs (T, T): a word holds (T, T) exactly when T <= w.  A pair
+family is, per key, such a search over separators of at most k elements;
+each owns itself, so it keeps a witness while it is incomparable with
+every other member.
 
 A child's list is filtered bit-parallel, after the bitset candidate sets
 of San Segundo, Rodriguez-Losada & Jimenez (2011).  A word kills member x,
@@ -44,14 +45,15 @@ witness S on which its key y & S is its own, so that pair is free at the
 node, held by one of its candidates, and held by no other added word.  A
 node therefore also carries ``reach``, the pairs its candidates hold; a
 child w needs as many more words as there are free pairs in ``reach``
-that w does not take.  An owned witness T is the pair (T, T), so the count
-holds in every mode.
+that w does not take.  Every pair of a table is a witness pair, so the
+count holds in every model.
 
 Both bounds are tested in the parent's candidate loop, before a child is
 expanded (Carraghan & Pardalos 1990), and the pair count before its
-canonical-prefix test: a child that cannot beat the best (or reach the
-target) is never built, and building stops as soon as enough later words
-have been dropped to make it hopeless.
+canonical-prefix test: a child that cannot beat the best is never built,
+and building stops as soon as enough later words have been dropped to make
+it hopeless.  A search for a family of n members is one that beats the
+best n - 1 and stops at the first family it finds.
 
 Reports are deterministic: a branch is cut only when it cannot beat the
 best found before it strictly, so the example reported is the first optimum
@@ -62,15 +64,14 @@ root, and the next ones until SPLIT_MIN_NODES nodes are visited, with one
 best shared by every branch.  It queues each later root that passes the
 tests of its parents as the arguments it has just built to visit it.  Each
 queued root then runs as its own DFS from them, from the best reached
-before the queue or towards the target, and the results merge in root
-order (parallel DFS by splitting the tree, Rao & Kumar 1987).  A root's
-result and node count depend only on its arguments and that starting best,
-so results and node counts are the same for any number of workers.  A
-helper process, forked with the queue, runs roots from the back of it
-while this one runs them from the front.  It is forked once the queued
-roots run here have visited SPLIT_MIN_NODES nodes and two or more are
-left, and only where ``os.fork`` exists, at least two CPUs are usable and
-the process runs a single thread.
+before the queue, and the results merge in root order (parallel DFS by
+splitting the tree, Rao & Kumar 1987).  A root's result and node count
+depend only on its arguments and that starting best, so results and node
+counts are the same for any number of workers.  A helper process, forked
+with the queue, runs roots from the back of it while this one runs them
+from the front.  It is forked once the queued roots run here have visited
+SPLIT_MIN_NODES nodes and two or more are left, and only where ``os.fork``
+exists, at least two CPUs are usable and the process runs a single thread.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ class SearchReport(Value):
     ``exhausted`` is True only when the full symmetry-reduced space was
     covered, making ``best`` a proven optimum; it is False whenever the wall
     budget expired first.  ``nodes_visited`` counts the nodes the DFS
-    visited, a deterministic number for a search that ran to the end; in
-    target mode the count stops at the first root that found a family, as
-    the serial DFS stops there.
+    visited, a deterministic number for a search that ran to the end; a
+    search for a family of given size counts up to the first root that
+    found one, as the serial DFS stops there.
     """
 
     __slots__ = ("best", "example", "exhausted", "nodes_visited", "wall_budget_ms",
@@ -153,44 +154,44 @@ class ExistenceResult(Value):
 
 
 @lru_cache(maxsize=None)
-def _witness_tables(m: int, k: int):
-    """The pair table of the m-ground, its two witness masks and the memo
-    of kill masks: ``(pairs, holders, nice, owned, kills)``.
+def _witness_tables(m: int, k: int, owned: bool):
+    """The witness pair table of the m-ground and the memo of kill masks:
+    ``(pairs, holders, kills)``.
 
     Witnesses are the sets of at most k elements of
-    ``verify.separator_table``.  A pair is a witness S with a key, a subset
-    of S; each witness owns a run of 2^|S| bits, in table order, one per
-    key, the key S first.  ``pairs[w]`` holds the pair (S, w & S) of every
-    witness S, so two words share the bit of S exactly when their keys on S
-    are equal, and ``holders[p]`` is the mask of the words holding pair p.
-
-    A member's witnesses are its pairs inside a mask held by no other
-    member: ``nice``, every pair, for separators, and ``owned``, the pairs
-    (T, T), for owned subsets, as T <= w exactly when w & T == T.
-    ``kills`` is the memo of ``_DFS.killers``, kept with the table it reads.
+    ``verify.separator_table``.  For separators a pair is a witness S with a
+    key, a subset of S; each witness owns a run of 2^|S| bits, in table
+    order, one per key, the key S first.  ``pairs[w]`` holds the pair
+    (S, w & S) of every witness S, so two words share the bit of S exactly
+    when their keys on S are equal.  For owned subsets the pairs are only
+    the (T, T), one bit per witness T in table order, and ``pairs[w]``
+    holds those with T <= w.  Either way a member's witnesses are the pairs
+    it holds alone, and ``holders[p]`` is the mask of the words holding
+    pair p.  ``kills`` is the memo of ``_DFS.killers``, kept with the table
+    it reads.
     """
     seps = separator_table(m, k)[0]
     words = range(1 << m)
     pairs = [0] * len(words)
     holders = []
-    owned = 0
     for S in seps:
         # the bit of each pair (S, key): after the runs of earlier
-        # witnesses, at the key's rank among the subsets of S
+        # witnesses, at the key's rank among the subsets of S; an owned
+        # table has only the key S
         bit = {}
         key = S
         while True:
             bit[key] = len(holders) + len(bit)
-            if not key:
+            if owned or not key:
                 break
             key = (key - 1) & S
-        owned |= 1 << bit[S]
         holders.extend([0] * len(bit))
         for w in words:
-            p = bit[w & S]
-            pairs[w] |= 1 << p
-            holders[p] |= 1 << w
-    return tuple(pairs), tuple(holders), (1 << len(holders)) - 1, owned, {}
+            p = bit.get(w & S)
+            if p is not None:
+                pairs[w] |= 1 << p
+                holders[p] |= 1 << w
+    return tuple(pairs), tuple(holders), {}
 
 
 class _Budget:
@@ -209,45 +210,44 @@ class _DFS:
 
     The best size is shared by the whole tree and a branch is cut only when
     it cannot beat it strictly, so ``best_members`` is the first optimum in
-    DFS order.  With a target, the search stops at the first family of that
-    size.  Prefixes of length <= SYMMETRY_DEPTH must be canonical under
-    ``group``; ``group=None`` turns the reduction off.  Members own
-    separators, or subsets of themselves when ``owned``.
+    DFS order.  The search stops at the first family of ``stop`` members; a
+    target n is the best n - 1 to beat with stop n.  Prefixes of length <=
+    SYMMETRY_DEPTH must be canonical under ``group``; ``group=None`` turns
+    the reduction off.  Members own separators, or subsets of themselves
+    when ``owned``.
     """
 
     __slots__ = (
-        "pairs", "holders", "mask", "kills", "m", "k", "owned", "group", "sym_depth",
-        "target", "budget", "best", "best_members", "nodes", "found", "roots",
+        "pairs", "holders", "kills", "m", "k", "owned", "group", "sym_depth",
+        "stop", "budget", "best", "best_members", "nodes", "roots",
     )
 
-    def __init__(self, m, k, owned, group, target, budget):
-        self.pairs, self.holders, nice, own, self.kills = _witness_tables(m, k)
-        self.mask = own if owned else nice
+    def __init__(self, m, k, owned, group, best, stop, budget):
+        self.pairs, self.holders, self.kills = _witness_tables(m, k, owned)
         self.m = m
         self.k = k
         self.owned = owned
         self.group = group
         self.sym_depth = 0 if group is None else SYMMETRY_DEPTH
-        self.target = target
+        self.stop = stop
         self.budget = budget
-        self.best = 0
+        self.best = best
         self.best_members: tuple[int, ...] = ()
         self.nodes = 0
-        self.found = None
         self.roots = []  # queued roots: (``run`` arguments, nodes before)
 
     def run(self, members, cands, used, twice, reach):
         """Visit the family ``members``.  ``used`` is the OR of ``pairs``
-        over the members and ``twice`` holds the pairs of ``mask`` that two
-        or more of them hold, so member x's witnesses are
-        ``pairs[x] & mask & ~twice``.  ``cands`` lists the words that can be
-        added, in increasing order: each keeps a witness of its own,
-        ``pairs[w] & mask & ~used``, and leaves every member one.  ``reach``
-        is the OR of ``pairs`` over the candidates.
+        over the members and ``twice`` holds the pairs that two or more of
+        them hold, so member x's witnesses are ``pairs[x] & ~twice``.
+        ``cands`` lists the words that can be added, in increasing order:
+        each keeps a witness of its own, ``pairs[w] & ~used``, and leaves
+        every member one.  ``reach`` is the OR of ``pairs`` over the
+        candidates.
 
         The bounds are tested here only for the children, in the candidate
-        loop, so every visited node can beat the best (or reach the target)
-        by its own size and candidates."""
+        loop, so every visited node can beat the best by its own size and
+        candidates."""
         self.nodes += 1
         # the budget is checked on the first node, then on every 1024th
         if self.budget.expired or (self.nodes & 1023 == 1 and self.budget.check()):
@@ -256,10 +256,8 @@ class _DFS:
         if s > self.best:
             self.best = s
             self.best_members = tuple(members)
-        target = self.target
-        if target is not None and s >= target:
-            self.found = tuple(members)
-            return
+            if s >= self.stop:
+                return
         pairs = self.pairs
         free = reach & ~used
         check_prefix = s < self.sym_depth
@@ -268,11 +266,11 @@ class _DFS:
         last = len(cands) - 1
         for idx, w in enumerate(cands):
             # Child idx holds at most the last - idx later words and needs
-            # ``need`` of them to beat the best (or to reach the target).
-            # ``slack`` is how many it may still lose; best only grows and
-            # later children have fewer words, so once it is negative no
-            # later child can do better either.
-            need = self.best - s if target is None else target - s - 1
+            # ``need`` of them to beat the best.  ``slack`` is how many it
+            # may still lose; best only grows and later children have fewer
+            # words, so once it is negative no later child can do better
+            # either.
+            need = self.best - s
             slack = last - idx - need
             if slack < 0:
                 return
@@ -297,7 +295,7 @@ class _DFS:
             else:
                 self.run(members, child, used | pw, child_twice, child_reach)
             members.pop()
-            if self.budget.expired or self.found is not None:
+            if self.budget.expired or self.best >= self.stop:
                 return
 
     def child(self, members, w, later, used, twice, slack):
@@ -311,24 +309,21 @@ class _DFS:
         built.  Building stops at the word that makes the slack negative.
         """
         pairs = self.pairs
-        mask = self.mask
         pw = pairs[w]
-        free = mask & ~used
-        shared = pw & mask & used
+        shared = pw & used
         fresh = shared & ~twice
         twice |= shared
         memo = self.kills.get
         # a kill mask is never 0, as a word holds its own pairs
-        u = pw & free
+        u = pw & ~used
         dead = memo(u) or self.killers(u)
         if fresh:
-            unique = mask & ~twice
             for x in members:
                 px = pairs[x]
                 if px & fresh:
-                    u = px & unique
+                    u = px & ~twice
                     dead |= memo(u) or self.killers(u)
-        alive = free & ~pw
+        alive = ~(used | pw)
         bits = _BITS
         child = []
         reach = 0
@@ -363,19 +358,20 @@ class _DFS:
         return dead
 
 
-def _search(m, k, group, target, budget, words=None, owned=False):
-    """Run the DFS from the empty family under ``budget``, a _Budget.
+def _search(m, k, group, best, stop, budget, words=None, owned=False):
+    """Run the DFS from the empty family under ``budget``, a _Budget, to
+    beat ``best`` and stop at ``stop`` members.
 
     The candidates are ``words`` (by default every word of the m-ground),
-    each starting with every witness, or with only those inside it when
-    ``owned``.  Returns (members, exhausted, nodes): members is the first
-    optimum in DFS order (the best so far on expiry), or with a target the
-    first family of that size, None if there is none.
+    each starting with every pair of its witness model.  Returns (members,
+    exhausted, nodes): members is the first family in DFS order that beats
+    ``best`` with the most members up to ``stop``, the best so far on
+    expiry, and () if none beats it.
 
     Roots queued by the DFS run in ``_run_roots``; the results and node
     counts do not depend on which process ran them.
     """
-    dfs = _DFS(m, k, owned, group, target, budget)
+    dfs = _DFS(m, k, owned, group, best, stop, budget)
     cands = list(range(1 << m) if words is None else words)
     reach = 0
     for w in cands:
@@ -383,31 +379,27 @@ def _search(m, k, group, target, budget, words=None, owned=False):
     dfs.run([], cands, 0, 0, reach)
     if dfs.roots and not budget.expired:
         _run_roots(dfs)
-    members = dfs.best_members if target is None else dfs.found
-    return members, not budget.expired, dfs.nodes
+    return dfs.best_members, not budget.expired, dfs.nodes
 
 
 def _run_roots(dfs):
     """Run the roots ``dfs`` queued, each as its own DFS from the best
-    reached before them (or towards the target), and merge their results in
-    root order.
+    reached before them, and merge their results in root order.
 
     A root's nodes and result depend only on its queued arguments and that
     starting best, so they are the same whichever process runs it.  Nodes
-    are summed, with a target up to the first root that found one; the best
-    changes only on a strict improvement, and an expired budget in any root
-    expires the search.  Roots run here in order until they have visited
-    SPLIT_MIN_NODES nodes; if two or more are left then, ``_share`` runs
-    them with a helper.
+    are summed; the best changes only on a strictly better root, and once
+    it reaches ``stop`` the nodes count up to that root.  An expired budget
+    in any root expires the search.  Roots run here in order until they
+    have visited SPLIT_MIN_NODES nodes; if two or more are left then,
+    ``_share`` runs them with a helper.
     """
-    roots, start, target, budget = dfs.roots, dfs.best, dfs.target, dfs.budget
+    roots, start, stop, budget = dfs.roots, dfs.best, dfs.stop, dfs.budget
 
     def run(i):
-        job = _DFS(dfs.m, dfs.k, dfs.owned, dfs.group, target, budget)
-        job.best = start
+        job = _DFS(dfs.m, dfs.k, dfs.owned, dfs.group, start, stop, budget)
         job.run(*roots[i][0])
-        found = job.best_members if target is None else job.found
-        return job.nodes, found or None, budget.expired
+        return job.nodes, job.best_members, budget.expired
 
     done = {}
     shared = False
@@ -419,19 +411,17 @@ def _run_roots(dfs):
             if not shared and extra >= SPLIT_MIN_NODES and len(roots) - i > 1:
                 shared = True
                 if _helper_allowed():
-                    done = _share(run, i, len(roots), target is not None)
+                    done = _share(run, i, len(roots), stop)
             if i not in done:
                 done[i] = run(i)
         nodes, found, expired = done[i]
         extra += nodes
         budget.expired = budget.expired or expired
-        if found is None:
-            continue
-        if target is not None:
-            dfs.found, dfs.nodes = found, at + extra
-            return
         if len(found) > dfs.best:
             dfs.best, dfs.best_members = len(found), found
+            if dfs.best >= stop:
+                dfs.nodes = at + extra
+                return
     dfs.nodes += extra
 
 
@@ -453,16 +443,16 @@ def _helper_allowed() -> bool:
     )
 
 
-def _share(run, lo, hi, target):
+def _share(run, lo, hi, stop):
     """Run roots lo, lo + 1, ... here while one forked helper runs hi - 1,
     hi - 2, ...; returns {root: run(root)} for the roots either finished.
 
     A shared byte per root marks it taken, and each side stops at the first
     root the other took; a root both took runs twice, with the same result.
     The helper sends its results through a pipe and exits.  When this side
-    finds the target (the helper's roots are later ones) or is interrupted,
-    the helper is killed instead.  It is always reaped, and it stops between
-    roots if this process is gone.
+    finds a family of ``stop`` members (the helper's roots are later ones)
+    or is interrupted, the helper is killed instead.  It is always reaped,
+    and it stops between roots if this process is gone.
     """
     import marshal
     import mmap
@@ -505,7 +495,7 @@ def _share(run, lo, hi, target):
                 break
             taken[i] = 1
             done[i] = res = run(i)
-            found = target and res[1] is not None
+            found = len(res[1]) >= stop
             if found or res[2]:
                 break
         if not found:
@@ -541,7 +531,9 @@ def max_nice_size(
 def _max_family(m, k, budget_ms, use_symmetry, group, owned) -> SearchReport:
     _check_mk(m, k)
     group = group if use_symmetry else None
-    members, exhausted, nodes = _search(m, k, group, None, _Budget(budget_ms), owned=owned)
+    members, exhausted, nodes = _search(
+        m, k, group, 0, (1 << m) + 1, _Budget(budget_ms), owned=owned
+    )
     return SearchReport(
         len(members), Family(m, members), exhausted, nodes, wall_budget_ms=budget_ms
     )
@@ -565,9 +557,9 @@ def exists_nice_of_size(
 
 
 def _exists(m, k, target_n, group, budget) -> ExistenceResult:
-    members, exhausted, nodes = _search(m, k, group, target_n, budget)
+    members, exhausted, nodes = _search(m, k, group, target_n - 1, target_n, budget)
     return ExistenceResult(
-        None if members is None else Family(m, members), exhausted, nodes
+        Family(m, members) if len(members) == target_n else None, exhausted, nodes
     )
 
 
@@ -643,7 +635,7 @@ def max_pair_family(m: int, k: int) -> SearchReport:
         if key.bit_count() > k:
             continue
         seps = [S for S in words if S & key == key and S.bit_count() <= k]
-        members, _, n = _search(m, k, None, None, budget, words=seps, owned=True)
+        members, _, n = _search(m, k, None, 0, len(seps) + 1, budget, words=seps, owned=True)
         nodes += n
         pairs.extend(SeparatorWitness(S, key) for S in members)
     return SearchReport(len(pairs), None, True, nodes, example_pairs=tuple(pairs))

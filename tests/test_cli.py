@@ -294,6 +294,27 @@ def test_construct_usage_errors(capsys):
     assert code == EXIT_USAGE and out == "" and "--k is required" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["construct", "--kind", "binary", "--n", "4", "--k", "7", "--m", "3"], "--k"),
+        (["construct", "--kind", "binary", "--n", "4", "--m", "3"], "--m"),
+        (["construct", "--kind", "hs2", "--n", "8", "--k", "2"], "--k"),
+        (["construct", "--kind", "nice-small", "--m", "4", "--n", "3"], "--n"),
+        (["verify", "--property", "separating", "--k", "5"], "--k"),
+        (["verify", "--property", "completely", "--k", "2"], "--k"),
+    ],
+    ids=["binary_k", "binary_m", "hs2_k", "nice-small_n", "separating_k", "completely_k"],
+)
+def test_construct_and_verify_reject_flags_they_ignore(capsys, monkeypatch, argv, flag):
+    # as in search: a flag that would silently change nothing is refused
+    # before any input is read or any family is built
+    code, out, err = run(capsys, argv, '{"ground_size":2,"sets":[[0],[1]]}', monkeypatch)
+    what = "kind" if argv[0] == "construct" else "property"
+    assert code == EXIT_USAGE and out == ""
+    assert f"error: {flag} has no effect on {what} '{argv[2]}'" in err
+
+
 def test_construct_oversized_ground_fails_fast(capsys):
     # the capacity check comes before any subset of the 100 000 is built
     t0 = time.monotonic()
@@ -553,6 +574,15 @@ def test_table_caps(capsys):
     assert code == EXIT_USAGE
 
 
+def test_table_lower_limits(capsys):
+    # a table needs a row, and a negative search limit is not silently none
+    code, out, err = run(capsys, ["table", "--n-max", "1"])
+    assert code == EXIT_USAGE and out == "" and "error: --n-max must be >= 2, got 1" in err
+    code, out, err = run(capsys, ["table", "--check-search-up-to", "-3"])
+    assert code == EXIT_USAGE and out == ""
+    assert "error: --check-search-up-to must be >= 0, got -3" in err
+
+
 def test_table_search_reaches_the_m6_cap(capsys):
     # n = 11, 12 lie above g(5,2) = 10, so their min-m searches prove every
     # m <= 5 empty and find a family at m = 6
@@ -734,6 +764,10 @@ def test_recheck_failure_is_self_check_error(capsys, monkeypatch, argv):
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # missing required --property
+    assert exc.value.code == EXIT_USAGE
+    # verify prints a report, so it has no output format to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--property", "separating", "--format", "text"])
     assert exc.value.code == EXIT_USAGE
 
 

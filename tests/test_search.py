@@ -316,6 +316,10 @@ PINNED_REPORTS = {
         lambda: max_unique_subset_family(5, 3),
         (10, (3, 5, 6, 9, 10, 12, 17, 18, 20, 24), True),
     ),
+    "unique(6,2)": (
+        lambda: max_unique_subset_family(6, 2),
+        (15, (3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 33, 34, 36, 40, 48), True),
+    ),
     "g(5,3)": (
         lambda: max_nice_size(5, 3),
         (20, (0, 1, 2, 4, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 27, 29, 30, 31), True),
@@ -365,9 +369,14 @@ def test_search_reports_pinned(name):
 PINNED_NODES = {
     "g(5,2)": (lambda: max_nice_size(5, 2), 104),
     "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 90),
-    "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 40),
+    # the free-pair count cut nothing in the owned searches while it
+    # counted the pairs of every witness: unique(5,2) visited 40 nodes then
+    "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 28),
     "unique(5,3)": (lambda: max_unique_subset_family(5, 3), 46),
-    "unique(5,2)-nosym": (lambda: max_unique_subset_family(5, 2, use_symmetry=False), 160),
+    # 266 while the count took in every witness
+    "unique(6,2)": (lambda: max_unique_subset_family(6, 2), 98),
+    # 160 while the count took in every witness
+    "unique(5,2)-nosym": (lambda: max_unique_subset_family(5, 2, use_symmetry=False), 103),
     "pair-family(6,2)": (lambda: max_pair_family(6, 2), 164),
     "pair-family(4,2)": (lambda: max_pair_family(4, 2), 48),
     "g(6,1)": (lambda: max_nice_size(6, 1), 8),
@@ -405,7 +414,7 @@ def test_pair_bits_are_the_keys():
     cases = [(m, k) for m in range(0, 5) for k in range(1, m + 2)]
     cases += [(5, 1), (5, 2), (5, 3), (6, 2)]
     for m, k in cases:
-        pairs = search._witness_tables(m, k)[0]
+        pairs = search._witness_tables(m, k, False)[0]
         runs = _pair_runs(m, k)
         width = sum(run.bit_count() for _, run in runs)
         for w in range(1 << m):
@@ -418,11 +427,29 @@ def test_pair_bits_are_the_keys():
                     assert shared == (w1 & S == w2 & S), (m, k, S, w1, w2)
 
 
-def _check_free_pair_count(members, m, k):
+def test_owned_pairs_are_the_subsets_and_holders_the_transpose():
+    # an owned word holds one pair per witness T <= w, and in both tables a
+    # pair's holders are exactly the words whose pairs have its bit
+    for m, k in [(m, k) for m in range(0, 5) for k in range(1, m + 2)] + [(5, 2), (6, 2)]:
+        seps = separator_table(m, k)[0]
+        for owned in (False, True):
+            pairs, holders, _ = search._witness_tables(m, k, owned)
+            if owned:
+                assert len(holders) == len(seps)
+                for w in range(1 << m):
+                    want = sum(1 << i for i, T in enumerate(seps) if T & w == T)
+                    assert pairs[w] == want, (m, k, w)
+            for p, held in enumerate(holders):
+                assert held == sum(1 << w for w in range(1 << m) if pairs[w] >> p & 1)
+            assert all(p >> len(holders) == 0 for p in pairs)
+
+
+def _check_free_pair_count(members, m, k, owned=False):
     """|Q| <= the pairs of Q that P does not hold, for every split F = P + Q
-    of a nice family F.  Subset ORs are built from the subset less its
-    lowest member, so the 2^|F| splits cost one OR each."""
-    pairs = search._witness_tables(m, k)[0]
+    of a nice family F, or of a unique-subset family on the owned table.
+    Subset ORs are built from the subset less its lowest member, so the
+    2^|F| splits cost one OR each."""
+    pairs = search._witness_tables(m, k, owned)[0]
     n = len(members)
     held = [0] * (1 << n)
     for q in range(1, 1 << n):
@@ -435,36 +462,42 @@ def _check_free_pair_count(members, m, k):
 
 @st.composite
 def nice_families(draw):
-    """A nice family: words in a drawn order, each kept while the family
-    stays nice, up to a drawn size."""
+    """A nice family, or a unique-subset family when ``owned``: words in a
+    drawn order, each kept while the family keeps its property, up to a
+    drawn size."""
     m = draw(st.integers(1, 6))
     k = draw(st.integers(1, 3))
+    owned = draw(st.booleans())
     cap = draw(st.integers(0, 12))
     members = []
     for w in draw(st.permutations(range(1 << m))):
         if len(members) == cap:
             break
-        if is_nice(Family(m, (*members, w)), k):
+        if _holds(m, k, owned, (*members, w)):
             members.append(w)
-    return m, k, members
+    return m, k, owned, members
 
 
 @settings(max_examples=60, deadline=None)
 @given(nice_families())
 def test_free_pair_count_bounds_every_split(case):
-    m, k, members = case
-    assert is_nice(Family(m, tuple(members)), k)
-    _check_free_pair_count(members, m, k)
+    m, k, owned, members = case
+    assert _holds(m, k, owned, members)
+    _check_free_pair_count(members, m, k, owned)
 
 
 def test_free_pair_count_on_the_optimum():
     rep = max_nice_size(6, 2)
     assert rep.best == 15
     _check_free_pair_count(list(rep.example.members), 6, 2)
+    rep = max_unique_subset_family(6, 2)
+    assert rep.best == 15
+    _check_free_pair_count(list(rep.example.members), 6, 2, owned=True)
 
 
 # Nodes with the free-pair bound off: the counts before it was added, but
-# for g(6,2), which the root split moved.
+# for g(6,2), which the root split moved.  In the owned searches it cut
+# nothing until each witness model had its own table.
 UNBOUNDED_NODES = {
     "g(5,2)": 113,
     "exists(5,2,11)": 99,
@@ -472,27 +505,27 @@ UNBOUNDED_NODES = {
     "g(6,1)": 15,
     "g(6,2)": 4652,  # 4647 before the root split
     "exists(6,2,16)": 2767,
+    "unique(5,2)": 40,
+    "pair-family(6,2)": 164,
 }
 
 
 @pytest.mark.parametrize("name", UNBOUNDED_NODES)
 def test_free_pair_bound_cuts_only_nodes(name, monkeypatch):
-    # With one private pair per word, above the table and outside both
-    # witness masks, every candidate but the child brings a free pair of its
-    # own, which the cardinality bound already counts: the bound is off,
-    # while the witnesses stay as they were.  The reports must not change,
-    # only the nodes.
+    # With one bit per word above the table in every node's ``reach``, a
+    # child always sees more free pairs than it has later candidates, which
+    # the cardinality bound already counts: the bound is off, while the
+    # witnesses stay as they were.  The reports must not change, only the
+    # nodes.
     run = PINNED_NODES[name][0]
     bounded = run()
-    tables = search._witness_tables
+    dfs_run = search._DFS.run
 
-    def private_pairs(m, k):
-        pairs, holders, nice, owned, kills = tables(m, k)
-        width = nice.bit_length()
-        private = tuple(p | 1 << (width + w) for w, p in enumerate(pairs))
-        return private, holders, nice, owned, kills
+    def unbounded_run(self, members, cands, used, twice, reach):
+        above = ((1 << len(self.pairs)) - 1) << len(self.holders)
+        return dfs_run(self, members, cands, used, twice, reach | above)
 
-    monkeypatch.setattr(search, "_witness_tables", private_pairs)
+    monkeypatch.setattr(search._DFS, "run", unbounded_run)
     unbounded = run()
     assert unbounded.nodes_visited == UNBOUNDED_NODES[name]
     fields = [f for f in type(bounded).__slots__ if f != "nodes_visited"]
@@ -540,10 +573,10 @@ def test_child_filter_keeps_exactly_the_words_that_can_join(case):
     m, k, owned, members, w, later = case
     if w is None:
         return
-    dfs = search._DFS(m, k, owned, None, None, search._Budget(None))
+    dfs = search._DFS(m, k, owned, None, 0, (1 << m) + 1, search._Budget(None))
     used = twice = 0
     for x in members:
-        twice |= used & dfs.pairs[x] & dfs.mask
+        twice |= used & dfs.pairs[x]
         used |= dfs.pairs[x]
     child, reach, child_twice, slack = dfs.child(members, w, later, used, twice, len(later))
     assert child == [w2 for w2 in later if _holds(m, k, owned, members + [w, w2])]
@@ -552,7 +585,7 @@ def test_child_filter_keeps_exactly_the_words_that_can_join(case):
     for w2 in child:
         want |= dfs.pairs[w2]
     assert reach == want
-    assert child_twice == twice | used & dfs.pairs[w] & dfs.mask
+    assert child_twice == twice | used & dfs.pairs[w]
     # with less slack than the words it drops, the child is hopeless
     dropped = len(later) - len(child)
     if dropped:
@@ -619,11 +652,11 @@ def test_split_moves_only_the_g62_count(name, monkeypatch):
 
 
 def test_kill_memo_is_bounded_and_changes_no_report(monkeypatch):
-    kills = search._witness_tables(6, 3)[4]
+    kills = search._witness_tables(6, 3, False)[2]
     assert exists_nice_of_size(6, 3, 27, budget_ms=300).status == "budget-exhausted"
     assert len(kills) <= 1 << 15
     runs = [lambda: max_nice_size(5, 3), lambda: exists_nice_of_size(6, 2, 16)]
-    memos = [search._witness_tables(m, k)[4] for m, k in ((5, 3), (6, 2))]
+    memos = [search._witness_tables(m, k, False)[2] for m, k in ((5, 3), (6, 2))]
     warm = [_fields(run()) for run in runs]
     for memo in memos:
         memo.clear()
@@ -713,9 +746,9 @@ def test_share_runs_roots_from_both_ends():
 
     def run(i):
         time.sleep(0.1 if os.getpid() == parent else 0.001)
-        return os.getpid(), None, False
+        return os.getpid(), (), False
 
-    done = search._share(run, 2, 8, False)
+    done = search._share(run, 2, 8, 1)
     assert sorted(done) == list(range(2, 8))
     mine = [i for i in done if done[i][0] == parent]
     assert mine and mine == list(range(2, 2 + len(mine))) and len(mine) < 6
@@ -727,12 +760,12 @@ def test_share_kills_the_helper_when_this_side_finds():
     def run(i):
         if os.getpid() != parent:
             time.sleep(5)
-        return 1, (i,) if i == 1 else None, False
+        return 1, (i,) if i == 1 else (), False
 
     t0 = time.monotonic()
-    done = search._share(run, 0, 8, True)
+    done = search._share(run, 0, 8, 1)
     assert time.monotonic() - t0 < 2.5
-    assert done == {0: (1, None, False), 1: (1, (1,), False)}
+    assert done == {0: (1, (), False), 1: (1, (1,), False)}
 
 
 def _brute_least_image(m, words, switching):
