@@ -408,16 +408,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, input_doc=False, output_doc=True):
-        if output_doc:
-            sp.add_argument("--format", choices=("json", "text"), default="json")
+    def common(sp, input_doc=False):
+        sp.add_argument("--format", choices=("json", "text"), default="json")
         if input_doc:
             sp.add_argument("--input", help="read the family document from a file instead of stdin")
 
     sp = sub.add_parser("verify", help="check a separation property of a family document")
     sp.add_argument("--property", required=True, choices=PROPERTIES)
     sp.add_argument("--k", type=int)
-    common(sp, input_doc=True, output_doc=False)  # it prints a report, not a document
+    # no --format: verify prints a report, not a document
+    sp.add_argument("--input", help="read the family document from a file instead of stdin")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("construct", help="emit a self-verified construction")
