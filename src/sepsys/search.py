@@ -15,13 +15,13 @@ member x while x's key x & S is its own, i.e. while no other member has
 that key on S.  A word holds one (witness, key) pair per witness, so x's
 witnesses are the pairs it holds alone, and a node's state is two pair
 sets: ``used``, the pairs its members hold, and ``twice``, those two or
-more of them hold.  Its candidate list holds only words that keep a
-witness of their own (a pair outside ``used``) and leave every member one.
+more of them hold.  Its candidates are only words that keep a witness of
+their own (a pair outside ``used``) and leave every member one.
 Witnesses only die as members are added, so a word that fails this test
-fails it in every descendant; it is dropped when the child's list is
-built, and the cardinality bound ``size + candidates`` counts only addable
-words.  The witnesses come from ``verify.separator_table``, which owns the
-table that ``is_nice`` reads too.
+fails it in every descendant; it is dropped when the child's candidates
+are built, and the cardinality bound ``size + candidates`` counts only
+addable words.  The witnesses come from ``verify.separator_table``, which
+owns the table that ``is_nice`` reads too.
 
 Each model has its own pair table.  Nice families hold every pair.  A
 member that must own a subset T of itself, contained in no other member,
@@ -30,13 +30,17 @@ family is, per key, such a search over separators of at most k elements;
 each owns itself, so it keeps a witness while it is incomparable with
 every other member.
 
-A child's list is filtered bit-parallel, after the bitset candidate sets
-of San Segundo, Rodriguez-Losada & Jimenez (2011).  A word kills member x,
-leaving it no witness, exactly when it holds every pair x holds alone; the
-words that do are the AND of the 2^m-bit word masks of those pairs,
-memoized per pair set.  Adding w shrinks only the pair sets of w itself and
-of the members that held a pair w now shares, so a later word stays unless
-one of their kill masks has its bit or it holds no pair still free.
+A node's candidates are one 2^m-bit word mask, walked low bit first,
+after the bitset candidate sets of San Segundo, Rodriguez-Losada & Jimenez
+(2011).  A word kills member x, leaving it no witness, exactly when it
+holds every pair x holds alone; the words that do are the AND of the
+2^m-bit word masks of those pairs, memoized per pair set.  Adding w shrinks
+only the pair sets of w itself and of the members that held a pair w now
+shares, so the child's candidates are the later words outside their kill
+masks that still hold a free pair.  The killed words are counted by
+popcount, w's own kill mask first and then one member's at a time, so about
+half the hopeless children are given up before any member or word is
+walked; only the words kept are walked, for their free pairs and reach.
 
 A second bound is the paper's count behind g(m,2) <= C(m,2): each member
 needs a (witness, key) pair of its own.  A pair (S, key) is free while no
@@ -105,8 +109,6 @@ SPLIT_MIN_NODES = 256
 # The most kill masks memoized per witness table, as many as
 # ``core.is_canonical`` caches; the memo is cleared when full.
 KILLS_MEMO_SIZE = 1 << 15
-# 1 << w per word: ``mask & _BITS[w]`` tests bit w faster than a shift
-_BITS = tuple(1 << w for w in range(1 << SEARCH_MAX_GROUND))
 
 
 class SearchReport(Value):
@@ -168,7 +170,8 @@ def _witness_tables(m: int, k: int, owned: bool):
     holds those with T <= w.  Either way a member's witnesses are the pairs
     it holds alone, and ``holders[p]`` is the mask of the words holding
     pair p.  ``kills`` is the memo of ``_DFS.killers``, kept with the table
-    it reads.
+    it reads.  ``_DFS`` asks for k = min(k, m), at least 1 as the separator
+    table needs, so every k >= m shares one table and memo.
     """
     seps = separator_table(m, k)[0]
     words = range(1 << m)
@@ -223,7 +226,7 @@ class _DFS:
     )
 
     def __init__(self, m, k, owned, group, best, stop, budget):
-        self.pairs, self.holders, self.kills = _witness_tables(m, k, owned)
+        self.pairs, self.holders, self.kills = _witness_tables(m, max(1, min(k, m)), owned)
         self.m = m
         self.k = k
         self.owned = owned
@@ -240,10 +243,9 @@ class _DFS:
         """Visit the family ``members``.  ``used`` is the OR of ``pairs``
         over the members and ``twice`` holds the pairs that two or more of
         them hold, so member x's witnesses are ``pairs[x] & ~twice``.
-        ``cands`` lists the words that can be added, in increasing order:
-        each keeps a witness of its own, ``pairs[w] & ~used``, and leaves
-        every member one.  ``reach`` is the OR of ``pairs`` over the
-        candidates.
+        ``cands`` is the mask of the words that can be added: each keeps a
+        witness of its own, ``pairs[w] & ~used``, and leaves every member
+        one.  ``reach`` is the OR of ``pairs`` over the candidates.
 
         The bounds are tested here only for the children, in the candidate
         loop, so every visited node can beat the best by its own size and
@@ -259,19 +261,26 @@ class _DFS:
             if s >= self.stop:
                 return
         pairs = self.pairs
+        memo = self.kills.get
         free = reach & ~used
         check_prefix = s < self.sym_depth
         # whether the children are roots, which may be queued
         queue = s == SPLIT_DEPTH - 1
-        last = len(cands) - 1
-        for idx, w in enumerate(cands):
-            # Child idx holds at most the last - idx later words and needs
+        later = cands
+        left = cands.bit_count()
+        # the children in increasing word order: the lowest bit of later
+        while later:
+            low = later & -later
+            later ^= low
+            left -= 1
+            w = low.bit_length() - 1
+            # The child holds at most the ``left`` later words and needs
             # ``need`` of them to beat the best.  ``slack`` is how many it
             # may still lose; best only grows and later children have fewer
             # words, so once it is negative no later child can do better
             # either.
             need = self.best - s
-            slack = last - idx - need
+            slack = left - need
             if slack < 0:
                 return
             # Each word added below the child takes a free pair of its own
@@ -282,9 +291,40 @@ class _DFS:
                 continue
             if check_prefix and not is_canonical((*members, w), self.m, self.group):
                 continue
-            child, child_reach, child_twice, slack = self.child(
-                members, w, cands[idx + 1:], used, twice, slack
-            )
+            # The child's candidates (see the module docstring): its slack
+            # goes first to the later words that kill w, then to those that
+            # kill a member w shrinks, then to those left with no free pair.
+            shared = pw & used
+            fresh = shared & ~twice
+            child_twice = twice | shared
+            # a kill mask is never 0, as a word holds its own pairs
+            u = pw & ~used
+            dead = (memo(u) or self.killers(u)) & later
+            if fresh and dead.bit_count() <= slack:
+                for x in members:
+                    px = pairs[x]
+                    if px & fresh:
+                        u = px & ~child_twice
+                        dead |= (memo(u) or self.killers(u)) & later
+                        if dead.bit_count() > slack:
+                            break
+            slack -= dead.bit_count()
+            if slack < 0:
+                continue
+            alive = ~(used | pw)
+            child = rest = later & ~dead
+            child_reach = 0
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p2 = pairs[bit.bit_length() - 1]
+                if p2 & alive:
+                    child_reach |= p2
+                else:
+                    child ^= bit
+                    slack -= 1
+                    if slack < 0:
+                        break
             if slack < 0:
                 continue
             members.append(w)
@@ -298,51 +338,10 @@ class _DFS:
             if self.budget.expired or self.best >= self.stop:
                 return
 
-    def child(self, members, w, later, used, twice, slack):
-        """The state of the child that adds w to ``members`` (``used`` and
-        ``twice`` as in ``run``): its candidates among ``later``, their
-        reach, its ``twice`` and the slack left after the words it dropped.
-
-        A word stays a candidate when it keeps a witness of its own and
-        holds no ``killers`` mask of w or of a member whose witnesses w
-        just took; it left one to the other members when ``later`` was
-        built.  Building stops at the word that makes the slack negative.
-        """
-        pairs = self.pairs
-        pw = pairs[w]
-        shared = pw & used
-        fresh = shared & ~twice
-        twice |= shared
-        memo = self.kills.get
-        # a kill mask is never 0, as a word holds its own pairs
-        u = pw & ~used
-        dead = memo(u) or self.killers(u)
-        if fresh:
-            for x in members:
-                px = pairs[x]
-                if px & fresh:
-                    u = px & ~twice
-                    dead |= memo(u) or self.killers(u)
-        alive = ~(used | pw)
-        bits = _BITS
-        child = []
-        reach = 0
-        for w2 in later:
-            if not dead & bits[w2]:
-                p2 = pairs[w2]
-                if p2 & alive:
-                    child.append(w2)
-                    reach |= p2
-                    continue
-            slack -= 1
-            if slack < 0:
-                break
-        return child, reach, twice, slack
-
     def killers(self, u):
         """The mask of the words that hold every pair of u, the AND of
         ``holders`` over them: adding one leaves a member whose witnesses
-        are u none.  Stored in the memo ``kills``, which ``child`` reads
+        are u none.  Stored in the memo ``kills``, which ``run`` reads
         first and which is cleared once it holds KILLS_MEMO_SIZE masks."""
         holders = self.holders
         dead = -1
@@ -372,9 +371,9 @@ def _search(m, k, group, best, stop, budget, words=None, owned=False):
     counts do not depend on which process ran them.
     """
     dfs = _DFS(m, k, owned, group, best, stop, budget)
-    cands = list(range(1 << m) if words is None else words)
-    reach = 0
-    for w in cands:
+    cands = reach = 0
+    for w in range(1 << m) if words is None else words:
+        cands |= 1 << w
         reach |= dfs.pairs[w]
     dfs.run([], cands, 0, 0, reach)
     if dfs.roots and not budget.expired:

@@ -308,6 +308,11 @@ PINNED_REPORTS = {
         lambda: exists_nice_of_size(5, 2, 11),
         ("proven-absent", None, True),
     ),
+    "exists(5,3,20)": (
+        lambda: exists_nice_of_size(5, 3, 20),
+        ("found", (0, 1, 2, 4, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 27, 29, 30, 31),
+         True),
+    ),
     "unique(5,2)": (
         lambda: max_unique_subset_family(5, 2),
         (10, (3, 5, 6, 9, 10, 12, 17, 18, 20, 24), True),
@@ -369,6 +374,8 @@ def test_search_reports_pinned(name):
 PINNED_NODES = {
     "g(5,2)": (lambda: max_nice_size(5, 2), 104),
     "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 90),
+    "exists(5,2,10)": (lambda: exists_nice_of_size(5, 2, 10), 12),
+    "exists(5,3,20)": (lambda: exists_nice_of_size(5, 3, 20), 196),
     # the free-pair count cut nothing in the owned searches while it
     # counted the pairs of every witness: unique(5,2) visited 40 nodes then
     "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 28),
@@ -542,54 +549,41 @@ def _holds(m, k, owned, words):
     return owns_unique_subsets(fam, k) if owned else bool(is_nice(fam, k))
 
 
-@st.composite
-def child_cases(draw):
-    """A family F in a drawn witness mode, a word w that can join it and
-    the words after w that can join it, as the parent's candidates."""
-    m = draw(st.integers(1, 5))
-    k = draw(st.integers(1, 3))
-    owned = draw(st.booleans())
-
-    def ok(words):
-        return _holds(m, k, owned, words)
-
-    cap = draw(st.integers(0, 10))
-    members = []
-    for x in draw(st.permutations(range(1 << m))):
-        if len(members) == cap:
-            break
-        if ok(members + [x]):
-            members.append(x)
-    joins = [w for w in range(1 << m) if w not in members and ok(members + [w])]
-    if not joins:
-        return m, k, owned, members, None, []
-    w = draw(st.sampled_from(joins))
-    return m, k, owned, members, w, [w2 for w2 in joins if w2 > w]
+# The child filter is tested at every node these searches visit.
+CHILD_FILTER_CASES = ["g(5,2)", "exists(5,3,20)", "unique(5,2)", "unique(5,2)-nosym",
+                      "pair-family(4,2)"]
 
 
-@settings(max_examples=150, deadline=None)
-@given(child_cases())
-def test_child_filter_keeps_exactly_the_words_that_can_join(case):
-    m, k, owned, members, w, later = case
-    if w is None:
-        return
-    dfs = search._DFS(m, k, owned, None, 0, (1 << m) + 1, search._Budget(None))
-    used = twice = 0
-    for x in members:
-        twice |= used & dfs.pairs[x]
-        used |= dfs.pairs[x]
-    child, reach, child_twice, slack = dfs.child(members, w, later, used, twice, len(later))
-    assert child == [w2 for w2 in later if _holds(m, k, owned, members + [w, w2])]
-    assert slack == len(child)
-    want = 0
-    for w2 in child:
-        want |= dfs.pairs[w2]
-    assert reach == want
-    assert child_twice == twice | used & dfs.pairs[w]
-    # with less slack than the words it drops, the child is hopeless
-    dropped = len(later) - len(child)
-    if dropped:
-        assert dfs.child(members, w, later, used, twice, dropped - 1)[3] < 0
+def test_child_filter_keeps_exactly_the_words_that_can_join(monkeypatch):
+    # At every node, ``cands`` is the mask of the search's words above the
+    # last member that can join the family, ``reach`` the OR of their pairs,
+    # ``used`` the OR of the members' pairs and ``twice`` the pairs that two
+    # or more members hold.  A search's words are the root's candidates.
+    dfs_run = search._DFS.run
+    nodes = [0]
+    words = []
+
+    def checked_run(self, members, cands, used, twice, reach):
+        if not members:
+            words[:] = [w for w in range(1 << self.m) if cands >> w & 1]
+        pairs = self.pairs
+        above = [w for w in words if not members or w > members[-1]]
+        want = [w for w in above if _holds(self.m, self.k, self.owned, members + [w])]
+        assert cands == sum(1 << w for w in want), (members, bin(cands))
+        want_reach = want_used = want_twice = 0
+        for w in want:
+            want_reach |= pairs[w]
+        for x in members:
+            want_twice |= want_used & pairs[x]
+            want_used |= pairs[x]
+        assert (reach, used, twice) == (want_reach, want_used, want_twice), members
+        nodes[0] += 1
+        return dfs_run(self, members, cands, used, twice, reach)
+
+    monkeypatch.setattr(search._DFS, "run", checked_run)
+    for name in CHILD_FILTER_CASES:
+        nodes[0] = 0
+        assert PINNED_NODES[name][0]().nodes_visited == nodes[0], name
 
 
 # --- the root split ----------------------------------------------------------
@@ -667,6 +661,21 @@ def test_kill_memo_is_bounded_and_changes_no_report(monkeypatch):
         memo.clear()
     assert [_fields(run()) for run in runs] == warm
     assert all(len(memo) <= 4 for memo in memos)
+
+
+def test_every_k_from_m_up_shares_one_witness_table(monkeypatch):
+    # a k of m or more allows every set as a witness, so one table and kill
+    # memo serve them all
+    tables = []
+    witness_tables = search._witness_tables
+
+    def recorded(m, k, owned):
+        tables.append(witness_tables(m, k, owned))
+        return tables[-1]
+
+    monkeypatch.setattr(search, "_witness_tables", recorded)
+    assert max_nice_size(5, 5) == max_nice_size(5, 9)
+    assert tables[0][0] is tables[1][0]
 
 
 def _in_helper(parent=os.getpid()):
