@@ -90,7 +90,10 @@ def parse_family_text(text: str) -> Family:
         raise ValueError(f"line {t}: expected two integers, got {ln!r}") from None
     body = lines[1:]
     if m == 0 and not body:
-        body = [(t, "")] * n  # ground-0 member rows are blank, and were dropped above
+        # ground-0 member rows are blank and were dropped above; emit_family
+        # puts a line break before each, so count the breaks after the header
+        # (the appended "." gives a final break a line of its own)
+        body = [(t, "")] * min(n, len((text + ".").splitlines()) - t)
     if len(body) != n:
         raise ValueError(f"expected {n} member rows, got {len(body)}")
     rows = []
@@ -139,17 +142,15 @@ def _read_input(args) -> Family:
     return parse_family(text)
 
 
-def _need(args, *flags: str, what: str) -> None:
-    """Reject the command line if any of the named flags was not given."""
-    for flag in flags:
-        if getattr(args, flag) is None:
+def _flags(args, needs, among, what: str) -> None:
+    """Reject the command line unless every flag of ``among`` that is in
+    ``needs`` was given and no other flag of ``among`` was.  A missing flag
+    is reported before a refused one, each first in the order of ``among``."""
+    for flag in among:
+        if flag in needs and getattr(args, flag) is None:
             raise ValueError(f"--{flag} is required for {what}")
-
-
-def _reject(args, *flags: str, what: str) -> None:
-    """Reject the command line if any of the named flags was given."""
-    for flag in flags:
-        if getattr(args, flag) is not None:
+    for flag in among:
+        if flag not in needs and getattr(args, flag) is not None:
             raise ValueError(f"--{flag.replace('_', '-')} has no effect on {what}")
 
 
@@ -207,11 +208,7 @@ def _self_check(prop: str, f: Family | None, k: int | None, what: str):
 
 def cmd_verify(args) -> int:
     prop = PROPERTIES[args.property]
-    what = f"property {args.property!r}"
-    if prop.takes_k:
-        _need(args, "k", what=what)
-    else:
-        _reject(args, "k", what=what)
+    _flags(args, ("k",) if prop.takes_k else (), ("k",), f"property {args.property!r}")
     f = _read_input(args)
     cert = _oracle(args.property, f, args.k)
     if not cert:
@@ -225,33 +222,26 @@ def cmd_verify(args) -> int:
 
 class _Kind(NamedTuple):
     build: str  # constructor in ``construct``, looked up at call time
-    size: str  # the flag that sizes it: "n" or "m"
+    flags: tuple[str, ...]  # the flags the constructor takes, in call order
     prop: str  # the property in PROPERTIES that certifies it
-    k: int | None  # fixed k of that property; None passes --k to the constructor
+    k: int | None  # k of that property, unless --k is one of the flags
     role: str
 
 
 KINDS = {
-    "binary": _Kind("binary_separating", "n", "separating", None, "primal"),
-    "spencer": _Kind("spencer_completely_separating", "n", "completely", None, "primal"),
-    "hcs": _Kind("k_hcs_minimal", "n", "hcs", None, "primal"),
-    "hs2": _Kind("hyperseparating_minimal_2", "n", "hs", 2, "primal"),
-    "nice-small": _Kind("nice_small_m", "m", "nice", 2, "dual"),
+    "binary": _Kind("binary_separating", ("n",), "separating", None, "primal"),
+    "spencer": _Kind("spencer_completely_separating", ("n",), "completely", None, "primal"),
+    "hcs": _Kind("k_hcs_minimal", ("n", "k"), "hcs", None, "primal"),
+    "hs2": _Kind("hyperseparating_minimal_2", ("n",), "hs", 2, "primal"),
+    "nice-small": _Kind("nice_small_m", ("m",), "nice", 2, "dual"),
 }
 
 
 def cmd_construct(args) -> int:
     kind = KINDS[args.kind]
-    k_flag = kind.k is None and PROPERTIES[kind.prop].takes_k
-    flags = ("k", kind.size) if k_flag else (kind.size,)
-    what = f"kind {args.kind!r}"
-    _need(args, *flags, what=what)
-    # a size flag another kind reads, or --k, that this kind does not read
-    others = sorted({row.size for row in KINDS.values()} | {"k"})
-    _reject(args, *(flag for flag in others if flag not in flags), what=what)
-    build, size = getattr(construct, kind.build), getattr(args, kind.size)
-    fam = build(size, args.k) if k_flag else build(size)
-    k = args.k if k_flag else kind.k
+    _flags(args, kind.flags, ("k", "m", "n"), f"kind {args.kind!r}")
+    fam = getattr(construct, kind.build)(*(getattr(args, flag) for flag in kind.flags))
+    k = args.k if "k" in kind.flags else kind.k
     cert = _self_check(kind.prop, fam, k, f"construction {args.kind}")
     wits = list(enumerate(cert.witnesses)) if cert.prop == verify.NICE else None
     print(emit_family(fam, args.format, role=kind.role, witnesses=wits))
@@ -259,7 +249,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    n, k = args.n, args.k if args.k is not None else 2
+    n, k = args.n, args.k
     pair = bounds.f_bounds(n, k)
     tag = pair.lower_source + (", clamped" if pair.lower_clamped else "")
     print(f"{pair.lower} ≤ f({n},{k}) ≤ {pair.upper} [{tag}]")
@@ -272,7 +262,6 @@ def cmd_dual(args) -> int:
 
 
 def cmd_switch(args) -> int:
-    _need(args, "v", what="switch")
     print(emit_family(switch(_read_input(args), args.v), args.format))
     return EXIT_OK
 
@@ -307,13 +296,11 @@ PROBLEMS = {
 def cmd_search(args) -> int:
     problem = args.problem
     needs, reads = PROBLEMS[problem]
-    _need(args, *needs, what=f"problem {problem!r}")
-    others = (flag for row in PROBLEMS.values() for flag in row[0] + row[1])
-    _reject(args, *(flag for flag in others if flag not in needs + reads),
-            what=f"problem {problem!r}")
+    among = [flag for row in PROBLEMS.values() for flag in row[0] + row[1] if flag not in reads]
+    _flags(args, needs, among, f"problem {problem!r}")
     budget = _budget_ms(args)
     sym = not args.no_symmetry
-    k = args.k if args.k is not None else 2
+    k = args.k
     if problem == "g":
         rep = search.max_nice_size(args.m, k, budget, use_symmetry=sym)
         _self_check("nice", rep.example, k, "search example")
@@ -430,14 +417,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="print the lower/upper sandwich for f(n,k)")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int)
+    sp.add_argument("--k", type=int, default=2)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("search", help="run an extremal search")
     sp.add_argument("--problem", required=True, choices=PROBLEMS)
     sp.add_argument("--m", type=int)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
+    sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--m-max", type=int)
     sp.add_argument("--budget-ms", type=int)
     sp.add_argument("--no-symmetry", action="store_true", default=None)
@@ -455,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_dual)
 
     sp = sub.add_parser("switch", help="complement one ground element across all members")
-    sp.add_argument("--v", type=int)
+    sp.add_argument("--v", type=int, required=True)
     common(sp, input_doc=True)
     sp.set_defaults(func=cmd_switch)
 

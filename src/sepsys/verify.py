@@ -64,6 +64,12 @@ class PairFamilyViolation(Value):
         return False
 
 
+def _require_member(d: Family, i: int) -> None:
+    # Python would wrap a negative index and raise IndexError past the end
+    if not 0 <= i < len(d.members):
+        raise ValueError(f"member index {i} out of range for {len(d.members)} members")
+
+
 def _require_k(k: int) -> None:
     # k = 0 is rejected rather than defined: a size-0 separator only exists
     # for a single-member family.
@@ -213,8 +219,7 @@ def find_separator(d: Family, i: int, k: int) -> SeparatorWitness | None:
     reference scan; it reads no table and stops at the first set that
     settles member i.
     """
-    if not 0 <= i < len(d.members):
-        raise ValueError(f"member index {i} out of range for {len(d.members)} members")
+    _require_member(d, i)
     _require_k(k)
     ws, m = d.members, d.ground_size
     wi, others = ws[i], ws[:i] + ws[i + 1:]
@@ -340,6 +345,7 @@ def pair_family_valid(pairs, m: int, k: int):
 
 def check_separator_witness(d: Family, i: int, witness: SeparatorWitness, k: int) -> bool:
     """Independent full-scan re-validation of one separator witness."""
+    _require_member(d, i)
     S = witness.separator
     if S < 0 or S >> d.ground_size or S.bit_count() > k:
         return False

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -81,6 +82,20 @@ def test_ground_0_text_pipes_back(capsys, monkeypatch):
     assert (code, text) == (EXIT_OK, "0 2\n\n\n")
     code, out, err = run(capsys, ["dual"], stdin=text, monkeypatch=monkeypatch)
     assert (code, out, err) == (EXIT_OK, doc, "")
+
+
+def test_ground_0_member_count_is_bounded_by_the_document(capsys, monkeypatch):
+    # each blank member row needs its line break, so a 12-byte header cannot
+    # make the parser build a list of 10^9 rows
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="expected 1000000000 member rows, got 0"):
+        parse_family("0 1000000000")
+    code, out, err = run(capsys, ["dual"], "0 1000000000", monkeypatch)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "error: expected 1000000000 member rows, got 0" in err
+    with pytest.raises(ValueError, match="expected 3 member rows, got 2"):
+        parse_family("0 3\n\n")
 
 
 def test_parse_errors_name_the_problem():
@@ -542,6 +557,123 @@ def test_search_rejects_flags_the_problem_ignores(capsys, argv, flag):
     code, out, err = run(capsys, ["search", *argv])
     assert code == EXIT_USAGE and out == ""
     assert f"error: {flag} has no effect on problem '{argv[1]}'" in err
+
+
+# --- flag rules --------------------------------------------------------------
+
+# The rules of README's CLI section, written out here rather than read from
+# the tables in sepsys.cli: for each variant of a subcommand, every flag the
+# subcommand declares is required, read or refused.
+REQ, READ, NO = "required", "read", "refused"
+_VERIFY = {"--k": NO, "--input": READ}
+_VERIFY_K = {"--k": REQ, "--input": READ}
+_CONSTRUCT_N = {"--n": REQ, "--m": NO, "--k": NO, "--format": READ}
+_SEARCH_M = {"--m": REQ, "--n": NO, "--k": READ, "--m-max": NO, "--budget-ms": READ,
+             "--no-symmetry": READ, "--format": READ}
+FLAG_RULES = {
+    ("verify", "--property", "property"): {
+        "separating": _VERIFY, "completely": _VERIFY,
+        "hcs": _VERIFY_K, "hs": _VERIFY_K, "nice": _VERIFY_K,
+    },
+    ("construct", "--kind", "kind"): {
+        "binary": _CONSTRUCT_N, "spencer": _CONSTRUCT_N, "hs2": _CONSTRUCT_N,
+        "hcs": dict(_CONSTRUCT_N, **{"--k": REQ}),
+        "nice-small": dict(_CONSTRUCT_N, **{"--n": NO, "--m": REQ}),
+    },
+    ("search", "--problem", "problem"): {
+        "g": _SEARCH_M, "unique-subset": _SEARCH_M,
+        "exists": dict(_SEARCH_M, **{"--n": REQ}),
+        "min-m": dict(_SEARCH_M, **{"--m": NO, "--n": REQ, "--m-max": READ, "--no-symmetry": NO}),
+        "pair-family": dict(_SEARCH_M, **{"--budget-ms": NO, "--no-symmetry": NO}),
+    },
+}
+# each value that a read flag is given changes the output of the command
+# without it: --k 3 against the default 2, exists(4,2,9) is proven absent
+# in 11 nodes with symmetry and 271 without, f(9,2) = 5 lies above --m-max 4;
+# but a proven-absent exists prints no document to format
+_VALUES = {"--m": ["4"], "--n": ["9"], "--k": ["3"], "--m-max": ["4"], "--budget-ms": ["0"],
+           "--no-symmetry": [], "--format": ["text"]}
+_UNSEEN = {("exists", "--format")}
+_STDIN_DOC = '{"ground_size":2,"sets":[[0],[1]]}'
+_INPUT_DOC = '{"ground_size":3,"sets":[[0],[1],[0,2]]}'
+_FLAG_CASES = [
+    (cmd, variant, flag, rule)
+    for cmd, variants in FLAG_RULES.items()
+    for variant, rules in variants.items()
+    for flag, rule in rules.items()
+]
+
+
+@pytest.mark.parametrize("cmd", FLAG_RULES, ids=[cmd[0] for cmd in FLAG_RULES])
+def test_flag_rules_cover_every_declared_flag_and_variant(capsys, cmd):
+    with pytest.raises(SystemExit):
+        main([cmd[0], "--help"])
+    usage = capsys.readouterr().out
+    variants = re.search(re.escape(cmd[1]) + r" \{([^}]*)\}", usage).group(1).split(",")
+    assert sorted(FLAG_RULES[cmd]) == sorted(variants)
+    declared = set(re.findall(r"--[a-z][a-z-]*", usage)) - {"--help", cmd[1]}
+    for rules in FLAG_RULES[cmd].values():
+        assert sorted(rules) == sorted(declared)
+
+
+@pytest.mark.parametrize(
+    "cmd, variant, flag, rule", _FLAG_CASES,
+    ids=[f"{c[0]}-{v}-{f[2:]}" for c, v, f, _ in _FLAG_CASES],
+)
+def test_flag_matrix(capsys, monkeypatch, tmp_path, cmd, variant, flag, rule):
+    values = dict(_VALUES, **{"--input": [str(tmp_path / "doc.json")]})
+    (tmp_path / "doc.json").write_text(_INPUT_DOC)
+    base = [cmd[0], cmd[1], variant]
+    for f, r in FLAG_RULES[cmd][variant].items():
+        if r == REQ and f != flag:
+            base += [f, *values[f]]
+    if rule == REQ:
+        code, out, err = run(capsys, base, _STDIN_DOC, monkeypatch)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"error: {flag} is required for {cmd[2]} '{variant}'" in err
+        return
+    code, out, err = run(capsys, [*base, flag, *values[flag]], _STDIN_DOC, monkeypatch)
+    if rule == NO:
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"error: {flag} has no effect on {cmd[2]} '{variant}'" in err
+        return
+    assert code in (EXIT_OK, EXIT_FAIL) and err == ""
+    base_code, base_out, base_err = run(capsys, base, _STDIN_DOC, monkeypatch)
+    assert (base_code, base_err) == (EXIT_OK, "")
+    if (variant, flag) not in _UNSEEN:
+        assert out != base_out, "the flag changed nothing"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # two refused flags: the first of --k, --m, --n is named
+        (["construct", "--kind", "binary", "--n", "4", "--m", "3", "--k", "2"],
+         "--k has no effect on kind 'binary'"),
+        # search names the first in the order the problems declare their flags
+        (["search", "--problem", "min-m", "--n", "5", "--no-symmetry", "--m", "3"],
+         "--m has no effect on problem 'min-m'"),
+        (["search", "--problem", "pair-family", "--m", "3", "--n", "9", "--no-symmetry",
+          "--budget-ms", "0"], "--budget-ms has no effect on problem 'pair-family'"),
+        # a missing flag is named before a refused one, and --k before --n
+        (["construct", "--kind", "nice-small", "--n", "3"],
+         "--m is required for kind 'nice-small'"),
+        (["construct", "--kind", "hcs"], "--k is required for kind 'hcs'"),
+    ],
+)
+def test_flag_errors_name_one_flag_in_a_fixed_order(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_parser_defaults_and_required_flags(capsys):
+    code, out, _ = run(capsys, ["bounds", "--n", "100"])
+    assert (code, out) == (EXIT_OK, "8 ≤ f(100,2) ≤ 15 [pair-family]\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["switch"])
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "the following arguments are required: --v" in err
 
 
 # --- table -------------------------------------------------------------------

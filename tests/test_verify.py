@@ -239,6 +239,17 @@ def test_check_separator_witness_matches_full_scan():
     assert verdicts.count(True) > 200 and verdicts.count(False) > 200
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_witness_checks_refuse_a_member_index_out_of_range(i):
+    # -1 would wrap to member 2, whose witness this is, and 3 is one past the end
+    d = Family(2, (0, 1, 2))
+    w = find_separator(d, 2, 2)
+    assert check_separator_witness(d, 2, w, 2)
+    for check in (lambda: check_separator_witness(d, i, w, 2), lambda: find_separator(d, i, 2)):
+        with pytest.raises(ValueError, match=f"member index {i} out of range for 3 members"):
+            check()
+
+
 def test_separator_scan_draws_only_the_sets_it_reaches(monkeypatch):
     # C(64, <= 4) is about 680 000 sets; the empty set and {0} settle both
     # members, so a scan that enumerates whole layers ahead would show here
