@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .core import Value, _set
+from .core import Value, _require_k, _require_n, _set
 
 PAIR_FAMILY = "pair-family"
 INFO_THEORETIC = "info-theoretic"
@@ -69,8 +69,7 @@ def k_prime(m: int, k: int) -> int:
     ground is large enough (m >= 2k-1), else floor(m/2)."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_k(k)
     if m >= 2 * k - 1:  # at m = 2k-1 both branches give C(m, k)
         return k
     return m // 2
@@ -82,8 +81,7 @@ def min_m_hcs(n: int, k: int) -> int:
     C(m, k'(m, k)) is nondecreasing in m, so the search finds the true
     minimum.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _require_n(n)
     return _least_m(lambda m: binom(m, k_prime(m, k)) >= n, 1)
 
 

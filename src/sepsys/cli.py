@@ -368,8 +368,10 @@ def cmd_table(args) -> int:
         raise ValueError(f"--n-max is capped at 200, got {n_max}")
     if check_up_to < 0:
         raise ValueError(f"--check-search-up-to must be >= 0, got {check_up_to}")
-    if check_up_to > 12:
-        raise ValueError(f"--check-search-up-to is capped at 12, got {check_up_to}")
+    # f2_exact is nondecreasing, so the last searched row decides; row 1 is never searched
+    if check_up_to >= 2 and (m := bounds.f2_exact(check_up_to)) > search.SEARCH_MAX_GROUND:
+        raise ValueError(f"--check-search-up-to {check_up_to}: row {check_up_to} needs m = {m},"
+                         f" above the search cap of {search.SEARCH_MAX_GROUND}")
     budget = _budget_ms(args)
     bad = 0
     for n in range(2, n_max + 1):

@@ -116,6 +116,17 @@ def _check_ground(ground_size: int) -> None:
         )
 
 
+def _require_k(k: int) -> None:
+    # k = 0 is rejected rather than defined: only a single-member family has a size-0 separator
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _require_n(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+
+
 def new_family(ground_size: int, members) -> Family:
     """Build a Family from lists of ground-element indices."""
     _check_ground(ground_size)
@@ -317,16 +328,15 @@ def is_canonical(words: tuple[int, ...], m: int, group: str) -> bool:
     return _least_image(words, m, group == PERMUTATIONS_AND_SWITCHING, words) == words
 
 
+def first_contained(words) -> tuple[int, int] | None:
+    """The first (i, j) in (i, j) order with i != j and words[i] inside words[j], or None."""
+    return next(((i, j) for i, a in enumerate(words) for j, b in enumerate(words)
+                 if i != j and a & ~b == 0), None)
+
+
 def is_sperner(f: Family) -> bool:
     """True iff no member is contained in a different member.
 
     Duplicate members fail: each copy is a subset of the other.
     """
-    ws = f.members
-    n = len(ws)
-    for i in range(n):
-        wi = ws[i]
-        for j in range(n):
-            if i != j and wi & ~ws[j] == 0:
-                return False
-    return True
+    return first_contained(f.members) is None

@@ -94,7 +94,7 @@ from .core import (
     dual,
     is_canonical,
 )
-from .core import Value, _set
+from .core import Value, _require_k, _require_n, _set
 from .verify import separator_table
 
 SYMMETRY_DEPTH = 5  # measured: depth 4 visits 3.5x the nodes, depth 6 doubles cold g(6,2)
@@ -574,8 +574,7 @@ def min_m_hyperseparating(
     The example is the primal system (the dual of the found family).  Levels
     below ceil(log2 n) cannot hold n distinct subsets and are skipped.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _require_n(n)
     _check_mk(m_max, k)  # before 1 << m_max, and before any level runs
     if n > 1 << m_max:
         raise ValueError(f"n = {n} exceeds 2^m_max = {1 << m_max}")
@@ -645,5 +644,4 @@ def _check_mk(m: int, k: int) -> None:
         raise ValueError(f"m must be >= 0, got {m}")
     if m > SEARCH_MAX_GROUND:
         raise CapacityError(f"m = {m} exceeds the exhaustive-search cap of {SEARCH_MAX_GROUND}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_k(k)

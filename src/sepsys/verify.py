@@ -18,7 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .core import CapacityError, Family, SeparatorWitness, Value, _set, dual, signatures
+from .core import (CapacityError, Family, SeparatorWitness, Value, _require_k, _set, dual,
+                   first_contained, signatures)
 
 SEPARATING = "separating"
 COMPLETELY_SEPARATING = "completely-separating"
@@ -68,13 +69,6 @@ def _require_member(d: Family, i: int) -> None:
     # Python would wrap a negative index and raise IndexError past the end
     if not 0 <= i < len(d.members):
         raise ValueError(f"member index {i} out of range for {len(d.members)} members")
-
-
-def _require_k(k: int) -> None:
-    # k = 0 is rejected rather than defined: a size-0 separator only exists
-    # for a single-member family.
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def words_of_size(m: int, size: int):
@@ -333,13 +327,10 @@ def pair_family_valid(pairs, m: int, k: int):
             )
         by_key.setdefault(p.key, []).append(p.separator)
     for key, seps in by_key.items():
-        for a in range(len(seps)):
-            for b in range(len(seps)):
-                if a != b and seps[a] & ~seps[b] == 0:
-                    return PairFamilyViolation(
-                        "containment", key, (seps[a], seps[b]),
-                        f"key {key:#x}: separator {seps[a]:#x} contained in {seps[b]:#x}",
-                    )
+        if found := first_contained(seps):
+            a, b = (seps[t] for t in found)
+            return PairFamilyViolation("containment", key, (a, b),
+                                       f"key {key:#x}: separator {a:#x} contained in {b:#x}")
     return True
 
 

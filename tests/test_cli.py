@@ -702,7 +702,7 @@ def test_table_known_rows(capsys):
 def test_table_caps(capsys):
     code, _, err = run(capsys, ["table", "--n-max", "500"])
     assert code == EXIT_USAGE
-    code, _, err = run(capsys, ["table", "--check-search-up-to", "13"])
+    code, _, err = run(capsys, ["table", "--check-search-up-to", "16"])
     assert code == EXIT_USAGE
 
 
@@ -723,6 +723,20 @@ def test_table_search_reaches_the_m6_cap(capsys):
     lines = out.splitlines()
     assert all(ln.endswith("✓") for ln in lines)
     assert [ln.split()[-2] for ln in lines[-2:]] == ["search:6", "search:6"]
+
+
+def test_table_search_reach_follows_the_search_cap(capsys):
+    # rows 13-15 still have f = 6, so the m <= 6 search certifies them; row
+    # 16 needs m = 7 and is refused before any row is printed
+    code, out, _ = run(capsys, ["table", "--n-max", "16", "--check-search-up-to", "15"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [ln.split()[0] for ln in lines[-4:-1]] == ["13", "14", "15"]
+    assert all(ln.endswith("search:6 ✓") for ln in lines[-4:-1])
+    assert "search:" not in lines[-1]
+    code, out, err = run(capsys, ["table", "--n-max", "16", "--check-search-up-to", "16"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --check-search-up-to 16: row 16 needs m = 7, above the search cap of 6\n"
 
 
 def test_table_expired_budget_is_not_a_pass(capsys):
@@ -951,6 +965,7 @@ _LAYER_CASES = [
     (["search", "--problem", "exists", "--m", "4", "--n", "5"], "",
      ["cli", "core", "search", "verify"]),
     (["table", "--n-max", "8"], "", ["bounds", "cli", "core"]),
+    (["table", "--n-max", "8", "--check-search-up-to", "1"], "", ["bounds", "cli", "core"]),
     (["table", "--n-max", "8", "--check-search-up-to", "4"], "",
      ["bounds", "cli", "core", "search", "verify"]),
     (["--help"], "", ["cli", "core"]),

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import sepsys
+import sepsys.verify as verify
 from sepsys import Family, is_nice, max_nice_size
 
 LAYERS = ("bounds", "construct", "core", "search", "verify")
@@ -74,3 +75,40 @@ def test_values_unpickle_after_a_plain_import():
         "sys.stdout.buffer.write(pickle.dumps(pickle.loads(sys.stdin.buffer.read())))"
     )
     assert pickle.loads(_python(code, pickle.dumps(values))) == values
+
+
+_FAM = Family(2, (0b01, 0b10))
+# the public entry points that reject k = 0 or n = 1, each with its one message
+_REJECTED = [
+    ("k", "is_k_hypercompletely_separating", (_FAM, 0)),
+    ("k", "is_k_hyperseparating", (_FAM, 0)),
+    ("k", "is_nice", (_FAM, 0)),
+    ("k", "find_separator", (_FAM, 0, 0)),
+    ("k", "owns_unique_subsets", (_FAM, 0)),
+    ("k", "pair_family_valid", ([], 2, 0)),
+    ("k", "separator_table", (3, 0)),
+    ("k", "max_nice_size", (3, 0)),
+    ("k", "exists_nice_of_size", (3, 0, 2)),
+    ("k", "min_m_hyperseparating", (5, 0, 4)),
+    ("k", "max_unique_subset_family", (3, 0)),
+    ("k", "max_pair_family", (3, 0)),
+    ("k", "k_prime", (4, 0)),
+    ("k", "min_m_hcs", (5, 0)),
+    ("k", "f_bounds", (5, 0)),
+    ("n", "min_m_hcs", (1, 2)),
+    ("n", "min_m_hyperseparating", (1, 2, 4)),
+    ("n", "f_bounds", (1, 2)),
+    ("n", "spencer_min", (1,)),
+    ("n", "f2_exact", (1,)),
+]
+
+
+@pytest.mark.parametrize(
+    "param, name, args", _REJECTED, ids=[f"{c[1]}_{c[0]}" for c in _REJECTED]
+)
+def test_every_layer_rejects_k_0_and_n_1_with_one_message(param, name, args):
+    fn = getattr(sepsys, name, None) or getattr(verify, name)
+    message = {"k": "k must be >= 1, got 0", "n": "n must be >= 2, got 1"}[param]
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == message

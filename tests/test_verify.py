@@ -6,6 +6,7 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sepsys import (
     CapacityError,
@@ -515,6 +516,32 @@ def test_pair_family_malformed_raises():
         pair_family_valid([bad], 2, 1)
     with pytest.raises(ValueError):
         pair_family_valid([SeparatorWitness(0b100, 0)], 2, 2)
+
+
+@st.composite
+def one_key_separators(draw):
+    """(m, k, key, separators): distinct separators of at most k elements on
+    an m-ground, all carrying the one key, in a drawn order."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, m))
+    small = [w for w in range(1 << m) if w.bit_count() <= k]
+    key = draw(st.sampled_from(small))
+    fits = [S for S in small if S & key == key]
+    return m, k, key, draw(st.lists(st.sampled_from(fits), unique=True, max_size=8))
+
+
+@given(one_key_separators())
+def test_pair_family_containment_is_the_sperner_scan(case):
+    # distinct separators of at most k elements leave containment the only
+    # way to fail, and it names the first (i, j) with separator i inside j
+    m, k, key, seps = case
+    v = pair_family_valid([SeparatorWitness(S, key) for S in seps], m, k)
+    first = next(((a, b) for i, a in enumerate(seps) for j, b in enumerate(seps)
+                  if i != j and a | b == b), None)
+    assert (v is True) == is_sperner(Family(m, tuple(seps))) == (first is None)
+    if first is not None:
+        assert (v.kind, v.key, v.separators) == ("containment", key, first)
+        assert v.message == f"key {key:#x}: separator {first[0]:#x} contained in {first[1]:#x}"
 
 
 # --- cross-property invariants ----------------------------------------------
