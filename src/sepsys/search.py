@@ -3,11 +3,15 @@
 The searches re-derive the small-case extremal values independently of the
 closed-form formulas.  Families are built as strictly increasing sequences
 of member words, which kills member-permutation duplicates for free; on top
-of that, prefixes of up to SYMMETRY_DEPTH words must be canonical under the
-applicable symmetry group (orderly generation, Read 1978), as decided by
-``core.is_canonical``.  This is sound because the lexicographically least
-member of any orbit has only canonical prefixes: inserting the image of
-its largest word into a smaller sorted list keeps that list smaller.
+of that, a prefix must be canonical under the applicable symmetry group
+(orderly generation, Read 1978), as decided by ``core.is_canonical``, when
+it has at most SYMMETRY_DEPTH words, or at most DEEP_SYMMETRY_DEPTH words
+and at least DEEP_MIN_LEFT[m] of its parent's candidates lie above its last
+word.  This is sound because the lexicographically least member of any
+orbit has only canonical prefixes: inserting the image of its largest word
+into a smaller sorted list keeps that list smaller.  So a prefix left
+untested only keeps more of the tree, and which prefixes are tested changes
+node counts alone.
 
 Every problem runs on one witness model, forward-checked (Haralick &
 Elliott 1980).  A witness is a set S of at most k elements; it serves
@@ -97,7 +101,20 @@ from .core import (
 from .core import Value, _require_k, _require_n, _set
 from .verify import separator_table
 
-SYMMETRY_DEPTH = 5  # measured: depth 4 visits 3.5x the nodes, depth 6 doubles cold g(6,2)
+# A child prefix of d words is tested for canonicity when d <= SYMMETRY_DEPTH,
+# or when d <= DEEP_SYMMETRY_DEPTH and at least DEEP_MIN_LEFT[m] later words
+# remain in its parent's candidate mask.  A cold test at depths 6 to 8 costs
+# 60 to 120 us when it rejects and 140 to 350 us when it passes (m = 5 and
+# 6), and most of that time goes to prefixes that pass, so a deep test pays
+# only above a subtree of many words.  Measured on a 2-vCPU host, CPython
+# 3.11: depth 4 visits 3.5x the nodes of depth 5; ungated, depth 6 doubles
+# cold g(6,2) and depth 8 takes it from about 120 to 670 ms.  Gated, depth
+# 8 at 10 words cuts warm g(5,3) from 3 220 to 854 nodes, and at 32 words on
+# m = 6 keeps cold g(6,2) flat while exists(6,3,24) falls from 100 418 to
+# 27 756 nodes; 21 words there double cold g(6,2).
+SYMMETRY_DEPTH = 5
+DEEP_SYMMETRY_DEPTH = 8
+DEEP_MIN_LEFT = (10, 10, 10, 10, 10, 10, 32)  # by m
 SEARCH_MAX_GROUND = 6  # the largest m any search accepts
 # Roots are the families of SPLIT_DEPTH members; splitting deeper would
 # queue single-digit subtrees in the symmetric searches.  SPLIT_MIN_NODES
@@ -215,13 +232,14 @@ class _DFS:
     it cannot beat it strictly, so ``best_members`` is the first optimum in
     DFS order.  The search stops at the first family of ``stop`` members; a
     target n is the best n - 1 to beat with stop n.  Prefixes of length <=
-    SYMMETRY_DEPTH must be canonical under ``group``; ``group=None`` turns
+    SYMMETRY_DEPTH, and deeper ones below many later words (see
+    DEEP_MIN_LEFT), must be canonical under ``group``; ``group=None`` turns
     the reduction off.  Members own separators, or subsets of themselves
     when ``owned``.
     """
 
     __slots__ = (
-        "pairs", "holders", "kills", "m", "k", "owned", "group", "sym_depth",
+        "pairs", "holders", "kills", "m", "k", "owned", "group", "min_left",
         "stop", "budget", "best", "best_members", "nodes", "roots",
     )
 
@@ -231,7 +249,13 @@ class _DFS:
         self.k = k
         self.owned = owned
         self.group = group
-        self.sym_depth = 0 if group is None else SYMMETRY_DEPTH
+        # min_left[s] is the fewest later words for which a child of s + 1
+        # members is tested; 1 << m, more words than there are, tests none
+        never = 1 << m
+        tested = 0 if group is None else DEEP_SYMMETRY_DEPTH
+        always = min(tested, SYMMETRY_DEPTH)
+        self.min_left = ((0,) * always + (DEEP_MIN_LEFT[m],) * (tested - always)
+                         + (never,) * (never + 1 - tested))
         self.stop = stop
         self.budget = budget
         self.best = best
@@ -263,7 +287,7 @@ class _DFS:
         pairs = self.pairs
         memo = self.kills.get
         free = reach & ~used
-        check_prefix = s < self.sym_depth
+        min_left = self.min_left[s]
         # whether the children are roots, which may be queued
         queue = s == SPLIT_DEPTH - 1
         later = cands
@@ -289,7 +313,7 @@ class _DFS:
             pw = pairs[w]
             if (free & ~pw).bit_count() < need:
                 continue
-            if check_prefix and not is_canonical((*members, w), self.m, self.group):
+            if left >= min_left and not is_canonical((*members, w), self.m, self.group):
                 continue
             # The child's candidates (see the module docstring): its slack
             # goes first to the later words that kill w, then to those that

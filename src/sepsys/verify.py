@@ -286,6 +286,7 @@ def is_k_hyperseparating(f: Family, k: int) -> Certificate:
     Decided through the dual: the witness separator indexes the witness
     member sets, and the key says which of them must contain the element.
     """
+    _require_k(k)  # before the dual, which may not fit
     cert = is_nice(dual(f), k)
     return Certificate(
         HYPERSEPARATING, cert.ok, k=k, witnesses=cert.witnesses, failure=cert.failure

@@ -32,6 +32,7 @@ from sepsys.core import (
 )
 from sepsys.verify import separator_table
 from sepsys.search import (
+    DEEP_SYMMETRY_DEPTH,
     SYMMETRY_DEPTH,
     ExistenceResult,
     exists_nice_of_size,
@@ -372,10 +373,10 @@ def test_search_reports_pinned(name):
 
 # Nodes the DFS visits.  Sharper pruning may lower these, never raise them.
 PINNED_NODES = {
-    "g(5,2)": (lambda: max_nice_size(5, 2), 104),
-    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 90),
+    "g(5,2)": (lambda: max_nice_size(5, 2), 99),
+    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 85),
     "exists(5,2,10)": (lambda: exists_nice_of_size(5, 2, 10), 12),
-    "exists(5,3,20)": (lambda: exists_nice_of_size(5, 3, 20), 196),
+    "exists(5,3,20)": (lambda: exists_nice_of_size(5, 3, 20), 79),
     # the free-pair count cut nothing in the owned searches while it
     # counted the pairs of every witness: unique(5,2) visited 40 nodes then
     "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 28),
@@ -387,10 +388,10 @@ PINNED_NODES = {
     "pair-family(6,2)": (lambda: max_pair_family(6, 2), 164),
     "pair-family(4,2)": (lambda: max_pair_family(4, 2), 48),
     "g(6,1)": (lambda: max_nice_size(6, 1), 8),
-    "g(5,3)": (lambda: max_nice_size(5, 3), 3220),
-    # 3504 before the root split: later roots start from the first root's 12
-    "g(6,2)": (lambda: max_nice_size(6, 2), 3506),
-    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 1634),
+    "g(5,3)": (lambda: max_nice_size(5, 3), 854),
+    # 3288 before the root split: later roots start from the first root's 12
+    "g(6,2)": (lambda: max_nice_size(6, 2), 3290),
+    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 1511),
     # most of the work of these two lies in queued roots
     "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), 29012),
     "exists(5,2,11)-nosym": (lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), 28998),
@@ -502,16 +503,15 @@ def test_free_pair_count_on_the_optimum():
     _check_free_pair_count(list(rep.example.members), 6, 2, owned=True)
 
 
-# Nodes with the free-pair bound off: the counts before it was added, but
-# for g(6,2), which the root split moved.  In the owned searches it cut
-# nothing until each witness model had its own table.
+# Nodes with the free-pair bound off.  In the owned searches it cut nothing
+# until each witness model had its own table.
 UNBOUNDED_NODES = {
-    "g(5,2)": 113,
-    "exists(5,2,11)": 99,
-    "g(5,3)": 3285,
+    "g(5,2)": 108,
+    "exists(5,2,11)": 94,
+    "g(5,3)": 882,
     "g(6,1)": 15,
-    "g(6,2)": 4652,  # 4647 before the root split
-    "exists(6,2,16)": 2767,
+    "g(6,2)": 4392,
+    "exists(6,2,16)": 2600,
     "unique(5,2)": 40,
     "pair-family(6,2)": 164,
 }
@@ -537,6 +537,51 @@ def test_free_pair_bound_cuts_only_nodes(name, monkeypatch):
     assert unbounded.nodes_visited == UNBOUNDED_NODES[name]
     fields = [f for f in type(bounded).__slots__ if f != "nodes_visited"]
     assert [getattr(unbounded, f) for f in fields] == [getattr(bounded, f) for f in fields]
+
+
+# --- the canonical-prefix test rule -----------------------------------------
+
+
+# Nodes when every prefix of up to DEEP_SYMMETRY_DEPTH words is tested, and
+# when none past SYMMETRY_DEPTH is; the searches without symmetry and the
+# short ones are untouched.
+PREFIX_RULE_NODES = {
+    "g(5,2)": (86, 104),
+    "exists(5,2,11)": (73, 90),
+    "exists(5,2,10)": (12, 12),
+    "exists(5,3,20)": (79, 196),
+    "unique(5,2)": (28, 28),
+    "unique(5,3)": (46, 46),
+    "unique(6,2)": (69, 98),
+    "unique(5,2)-nosym": (103, 103),
+    "pair-family(6,2)": (164, 164),
+    "pair-family(4,2)": (48, 48),
+    "g(6,1)": (8, 8),
+    "g(5,3)": (842, 3220),
+    "g(6,2)": (1024, 3506),
+    "exists(6,2,16)": (549, 1634),
+    "g(5,2)-nosym": (29012, 29012),
+    "exists(5,2,11)-nosym": (28998, 28998),
+}
+
+
+@pytest.mark.parametrize("rule", ["every-prefix", "depth-5"])
+@pytest.mark.parametrize("name", PINNED_NODES)
+def test_prefix_test_rule_moves_only_nodes(name, rule, monkeypatch):
+    # A prefix left untested only keeps more of the tree, and the
+    # lexicographically least optimum has canonical prefixes at every
+    # depth, so which prefixes are tested may move the node count alone.
+    run = PINNED_NODES[name][0]
+    gated = run()
+    if rule == "every-prefix":
+        monkeypatch.setattr(search, "DEEP_MIN_LEFT", (0,) * len(search.DEEP_MIN_LEFT))
+    else:
+        monkeypatch.setattr(search, "DEEP_SYMMETRY_DEPTH", SYMMETRY_DEPTH)
+    other = run()
+    every, depth5 = PREFIX_RULE_NODES[name]
+    assert other.nodes_visited == (every if rule == "every-prefix" else depth5)
+    fields = [f for f in type(gated).__slots__ if f != "nodes_visited"]
+    assert [getattr(other, f) for f in fields] == [getattr(gated, f) for f in fields]
 
 
 # --- the child filter --------------------------------------------------------
@@ -640,7 +685,7 @@ def test_split_moves_only_the_g62_count(name, monkeypatch):
     split = run()
     monkeypatch.setattr(search, "SPLIT_MIN_NODES", float("inf"))
     whole = run()
-    assert whole.nodes_visited == (3504 if name == "g(6,2)" else split.nodes_visited)
+    assert whole.nodes_visited == (3288 if name == "g(6,2)" else split.nodes_visited)
     fields = [f for f in type(split).__slots__ if f != "nodes_visited"]
     assert [getattr(whole, f) for f in fields] == [getattr(split, f) for f in fields]
 
@@ -862,14 +907,16 @@ def _check_orbits(group, switching, cases):
                 assert kept == [min(orbit)], (m, group, orbit)
 
 
+# Every depth the DFS may test, up to m = 4: the roots of 6 to 8 words add
+# about 3 s to these two tests on a 2-vCPU host.
 def test_every_root_maps_onto_a_kept_root_under_switching():
-    cases = [(m, SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 4), (6, 3)]
+    cases = [(m, DEEP_SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 4), (6, 3)]
     _check_orbits(PERMUTATIONS_AND_SWITCHING, True, cases)
 
 
 def test_every_root_maps_onto_a_kept_root_under_permutations():
     # the owned-subset group has relabelings only; its search stops at m = 5
-    cases = [(m, SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 4), (6, 2)]
+    cases = [(m, DEEP_SYMMETRY_DEPTH) for m in range(0, 5)] + [(5, 4), (6, 2)]
     _check_orbits(PERMUTATIONS_ONLY, False, cases)
 
 

@@ -423,6 +423,13 @@ def test_hyperseparating_capacity_error_via_dual():
     assert is_separating(f)  # one element in every member, the other in none
 
 
+@pytest.mark.parametrize("members", [3, 65])
+def test_hyperseparating_checks_k_before_the_dual(members):
+    # a k of 0 is refused with one message, also where the dual would not fit
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        is_k_hyperseparating(Family(1, (0,) * members), 0)
+
+
 # --- owns_unique_subsets -----------------------------------------------------
 
 
