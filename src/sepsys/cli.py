@@ -28,6 +28,7 @@ from .core import (
     bits,
     canonical_form,
     dual,
+    family_from_words,
     member_lists,
     new_family,
     switch,
@@ -96,12 +97,11 @@ def parse_family_text(text: str) -> Family:
         body = [(t, "")] * min(n, len((text + ".").splitlines()) - t)
     if len(body) != n:
         raise ValueError(f"expected {n} member rows, got {len(body)}")
-    rows = []
     for t, ln in body:
-        if len(ln) != m or any(c not in "01" for c in ln):
+        if len(ln) != m or ln.strip("01"):
             raise ValueError(f"line {t}: expected {m} characters of 0/1, got {ln!r}")
-        rows.append([i for i, c in enumerate(ln) if c == "1"])
-    return new_family(m, rows)
+    # column v is bit v; a ground-0 row is empty, which int() refuses
+    return family_from_words(m, [int(ln[::-1] or "0", 2) for _, ln in body])
 
 
 def emit_family(
@@ -111,10 +111,9 @@ def emit_family(
     witnesses: list[tuple[int, SeparatorWitness]] | None = None,
 ) -> str:
     if fmt == "text":
-        lines = [f"{f.ground_size} {len(f.members)}"]
-        for w in f.members:
-            lines.append("".join("1" if (w >> i) & 1 else "0" for i in range(f.ground_size)))
-        return "\n".join(lines)
+        top = 1 << f.ground_size  # pads each row to m digits, cut off once reversed
+        rows = (format(w | top, "b")[:0:-1] for w in f.members)  # column v is bit v
+        return "\n".join([f"{f.ground_size} {len(f.members)}", *rows])
     doc: dict = {"ground_size": f.ground_size, "sets": member_lists(f)}
     if role is not None:
         doc["role"] = role

@@ -131,11 +131,7 @@ def antichain_lift(f: Family) -> Family:
         )
     low = [w for w in f.members if w.bit_count() == lvl]
     keep = [w for w in f.members if w.bit_count() != lvl]
-    lifted = set()
-    for w in low:
-        for t in range(m):
-            if not (w >> t) & 1:
-                lifted.add(w | (1 << t))
+    lifted = {w | 1 << t for w in low for t in range(m) if not w >> t & 1}
     return Family(m, tuple(keep + sorted(lifted)))
 
 

@@ -83,6 +83,8 @@ class SeparatorWitness(Value):
     __slots__ = ("separator", "key")
 
     def __init__(self, separator: int, key: int) -> None:
+        if separator < 0:
+            raise ValueError(f"separator must be >= 0, got {separator}")
         if key & ~separator:
             raise ValueError("key must be a subset of the separator")
         _set(self, "separator", separator)
@@ -91,12 +93,13 @@ class SeparatorWitness(Value):
 
 def bits(word: int) -> list[int]:
     """Indices of the set bits of a word, ascending."""
+    if word < 0:  # infinitely many set bits
+        raise ValueError(f"word must be >= 0, got {word}")
     out = []
-    v = word
-    while v:
-        low = v & -v
+    while word:
+        low = word & -word
         out.append(low.bit_length() - 1)
-        v ^= low
+        word ^= low
     return out
 
 
@@ -146,13 +149,16 @@ def new_family(ground_size: int, members) -> Family:
 def family_from_words(ground_size: int, words) -> Family:
     """Build a Family from raw bit-words, validating them against the ground."""
     _check_ground(ground_size)
-    ws = tuple(int(w) for w in words)
-    for pos, w in enumerate(ws):
-        if w < 0 or w >> ground_size:
-            raise ValueError(
-                f"member {pos}: word {w:#x} has bits outside ground size {ground_size}"
-            )
+    ws = tuple(map(int, words))
+    _check_words(ground_size, ws)
     return Family(ground_size, ws)
+
+
+def _check_words(m: int, ws: tuple[int, ...]) -> None:
+    """Raise ValueError naming the first word with bits outside the m-element ground."""
+    if ws and (min(ws) < 0 or max(ws).bit_length() > m):
+        pos, w = next((p, w) for p, w in enumerate(ws) if w < 0 or w.bit_length() > m)
+        raise ValueError(f"member {pos}: word {w:#x} has bits outside ground size {m}")
 
 
 def member_lists(f: Family) -> list[list[int]]:
@@ -170,14 +176,14 @@ def signatures(f: Family) -> list[int]:
 
     Unlike ``dual``, this has no cap on the member count.
     """
-    sigs = []
-    for v in range(f.ground_size):
-        bit = 1 << v
-        s = 0
-        for i, w in enumerate(f.members):
-            if w & bit:
-                s |= 1 << i
-        sigs.append(s)
+    sigs = [0] * f.ground_size
+    full = (1 << f.ground_size) - 1  # bits outside the ground are ignored
+    for i, w in enumerate(f.members):
+        bit, w = 1 << i, w & full
+        while w:  # each set bit of the member, lowest first
+            low = w & -w
+            sigs[low.bit_length() - 1] |= bit
+            w ^= low
     return sigs
 
 

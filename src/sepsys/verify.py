@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .core import (CapacityError, Family, SeparatorWitness, Value, _require_k, _set, dual,
-                   first_contained, signatures)
+from .core import (CapacityError, Family, SeparatorWitness, Value, _check_words, _require_k,
+                   _set, dual, first_contained, signatures)
 
 SEPARATING = "separating"
 COMPLETELY_SEPARATING = "completely-separating"
@@ -107,17 +107,13 @@ def is_completely_separating(f: Family) -> Certificate:
     against each other element; failure is the first bad ordered pair.
     """
     sigs = signatures(f)
-    n = f.ground_size
     wit = []
-    for v in range(n):
-        row = []
-        for v2 in range(n):
-            if v2 == v:
-                continue
-            d = sigs[v] & ~sigs[v2]
-            if d == 0:
-                return Certificate(COMPLETELY_SEPARATING, False, failure=(v, v2))
-            row.append((v2, (d & -d).bit_length() - 1))
+    for v, sv in enumerate(sigs):
+        # v drops out of its own row, as sv & ~sv is 0; any other v2 that does fails
+        row = [(v2, (d & -d).bit_length() - 1) for v2, s in enumerate(sigs) if (d := sv & ~s)]
+        if len(row) < len(sigs) - 1:
+            v2 = next(v2 for v2, s in enumerate(sigs) if not sv & ~s and v2 != v)
+            return Certificate(COMPLETELY_SEPARATING, False, failure=(v, v2))
         wit.append(tuple(row))
     return Certificate(COMPLETELY_SEPARATING, True, witnesses=tuple(wit))
 
@@ -232,9 +228,11 @@ def is_nice(d: Family, k: int) -> Certificate:
     grounds up to SEPARATOR_TABLE_MAX_GROUND they are read off the separator
     table: member i's separators are the AND of ``meet[ws[i] ^ w]`` over the
     other members, and its witness is the lowest bit of that mask.  Above
-    the cap each member is scanned with find_separator."""
+    the cap each member is scanned with find_separator.  A member with bits
+    outside the ground raises ValueError."""
     _require_k(k)
     ws, m = d.members, d.ground_size
+    _check_words(m, ws)
     if m > SEPARATOR_TABLE_MAX_GROUND:
         wits = []
         for i in range(len(ws)):

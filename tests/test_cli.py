@@ -8,6 +8,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from sepsys import Family, dual, new_family, search
 from sepsys.cli import (
@@ -139,6 +140,45 @@ def test_parse_text_errors_count_blank_lines(capsys, monkeypatch):
     code, out, err = run(capsys, ["dual"], stdin="2 2\n\n01\n\n0x\n", monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_USAGE, "")
     assert "line 5: expected 2 characters of 0/1, got '0x'" in err
+
+
+@pytest.mark.parametrize("row", ["0_1", "+01", "-01", "0 1", "01", "0101", "012"])
+def test_parse_text_refuses_rows_of_other_than_m_0s_and_1s(row):
+    # int(row, 2) alone reads the first three as numbers
+    with pytest.raises(ValueError) as e:
+        parse_family(f"3 1\n{row}")
+    assert str(e.value) == f"line 2: expected 3 characters of 0/1, got {row!r}"
+
+
+def test_parse_text_error_order():
+    # the header, then the row count, then each row, then the ground's capacity
+    wide = "1" * 65
+    cases = [
+        ("65\n" + wide, "line 1: expected 'm n', got '65'"),
+        ("65 2\n" + wide, "expected 2 member rows, got 1"),
+        ("65 1\n" + wide[1:], f"line 2: expected 65 characters of 0/1, got {wide[1:]!r}"),
+        ("65 1\n" + wide, "ground_size 65 exceeds the 64-element capacity"),
+        ("-1 0", "ground_size must be >= 0, got -1"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(ValueError) as e:
+            parse_family(doc)
+        assert str(e.value) == message
+
+
+@st.composite
+def wide_families(draw):
+    m = draw(st.integers(0, 64))
+    words = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=8))
+    return Family(m, tuple(words))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@given(f=wide_families())
+@example(f=Family(0, (0, 0, 0)))
+@example(f=Family(64, ((1 << 64) - 1, 0, 1 << 63)))
+def test_parse_inverts_emit(fmt, f):
+    assert parse_family(emit_family(f, fmt)) == f
 
 
 def test_witness_attachment_shape():

@@ -2,10 +2,11 @@
 
 import copy
 import pickle
+import signal
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sepsys import (
     CapacityError,
@@ -25,7 +26,7 @@ from sepsys import (
 )
 from sepsys.bounds import BoundPair
 from sepsys.construct import CASE_NO_REDUCTION, ReductionOutcome
-from sepsys.core import bits, switch_set, word_of
+from sepsys.core import bits, signatures, switch_set, word_of
 from sepsys.search import ExistenceResult, SearchReport
 from sepsys.verify import NICE, Certificate, PairFamilyViolation
 
@@ -74,6 +75,56 @@ def test_bits_word_roundtrip():
     assert bits(0b10110) == [1, 2, 4]
     assert word_of([1, 2, 4]) == 0b10110
     assert bits(0) == []
+
+
+def _within(seconds, call):
+    """call(), with an alarm that turns a hang into a failure."""
+
+    def hang(signum, frame):
+        raise TimeoutError(f"took over {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("word", [-1, -3, -(1 << 64)])
+def test_bits_rejects_a_negative_word(word):
+    # a negative word has infinitely many set bits
+    with pytest.raises(ValueError, match=f"word must be >= 0, got {word}"):
+        _within(5, lambda: bits(word))
+
+
+@pytest.mark.parametrize("separator, key", [(-1, 0), (-1, -1), (-2, 2)])
+def test_separator_witness_rejects_a_negative_separator(separator, key):
+    with pytest.raises(ValueError, match=f"separator must be >= 0, got {separator}"):
+        _within(5, lambda: SeparatorWitness(separator, key))
+
+
+@given(families(max_ground=64, max_members=64))
+@example(Family(64, ((1 << 64) - 1,) * 64))
+@example(Family(0, (0, 0)))
+def test_signatures_by_definition(f):
+    want = [sum(1 << i for i, w in enumerate(f.members) if w >> v & 1) for v in range(f.ground_size)]
+    assert signatures(f) == want
+
+
+def test_signatures_ignore_bits_outside_the_ground():
+    f = Family(2, (-1, 4, 5, 1 << 70))
+    assert _within(5, lambda: signatures(f)) == [0b101, 0b001]
+
+
+def test_family_from_words_names_the_first_word_outside_the_ground():
+    for words, pos, shown in [([1, 2, 8], 2, "0x8"), ([0, -1, 16], 1, "-0x1"), ([16, -1], 0, "0x10")]:
+        with pytest.raises(ValueError) as e:
+            family_from_words(3, words)
+        assert str(e.value) == f"member {pos}: word {shown} has bits outside ground size 3"
+    assert family_from_words(64, [(1 << 64) - 1, 0]).members == ((1 << 64) - 1, 0)
+    assert family_from_words(0, [0, 0]).members == (0, 0)
 
 
 def test_dual_by_definition():

@@ -82,6 +82,26 @@ def test_completely_separating_spencer():
     assert is_completely_separating(spencer_completely_separating(6))
 
 
+@given(st.integers(0, 6).flatmap(
+    lambda m: st.lists(st.integers(0, (1 << m) - 1), max_size=6).map(lambda ws: Family(m, tuple(ws)))))
+def test_completely_separating_by_definition(f):
+    # per ordered pair (v, v2): the lowest member holding v and not v2, and
+    # the first pair in (v, v2) order that has none fails
+    rows, failure = [], None
+    for v in range(f.ground_size):
+        row = []
+        for v2 in range(f.ground_size):
+            held = [i for i, w in enumerate(f.members) if w >> v & 1 and not w >> v2 & 1]
+            if v2 != v and not held:
+                failure = failure or (v, v2)
+            if v2 != v and held:
+                row.append((v2, held[0]))
+        rows.append(tuple(row))
+    cert = is_completely_separating(f)
+    assert (cert.ok, cert.failure) == (failure is None, failure)
+    assert cert.witnesses == (tuple(rows) if failure is None else ())
+
+
 def test_completely_separating_equals_proper_sperner_dual():
     for f in all_families(3, 3, with_duplicates=True):
         d = dual(f)
@@ -392,6 +412,16 @@ def test_nice_fails_for_k1_on_full_square():
 
 def test_nice_all_two_subsets_of_five():
     assert is_nice(all_two_subsets(5), 2)
+
+
+@pytest.mark.parametrize("m", [3, 13])  # the table path and the scan above its cap
+def test_nice_rejects_words_outside_the_ground(m):
+    # on the table a negative word would wrap to the end of it and a wide
+    # one would index past it; the scan would pass both
+    for words, shown in [((1, 2, -1), "-0x1"), ((1, 2, 1 << m), hex(1 << m))]:
+        with pytest.raises(ValueError) as e:
+            is_nice(Family(m, words), 2)
+        assert str(e.value) == f"member 2: word {shown} has bits outside ground size {m}"
 
 
 # --- is_k_hyperseparating ----------------------------------------------------
