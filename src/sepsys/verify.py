@@ -110,7 +110,9 @@ def is_completely_separating(f: Family) -> Certificate:
     wit = []
     for v, sv in enumerate(sigs):
         # v drops out of its own row, as sv & ~sv is 0; any other v2 that does fails
-        row = [(v2, (d & -d).bit_length() - 1) for v2, s in enumerate(sigs) if (d := sv & ~s)]
+        # d ^ d - 1 keeps the lowest set bit of d and all below it; unlike
+        # d & -d it builds no negative int, which CPython handles slowly
+        row = [(v2, (d ^ d - 1).bit_length() - 1) for v2, s in enumerate(sigs) if (d := sv & ~s)]
         if len(row) < len(sigs) - 1:
             v2 = next(v2 for v2, s in enumerate(sigs) if not sv & ~s and v2 != v)
             return Certificate(COMPLETELY_SEPARATING, False, failure=(v, v2))
@@ -333,22 +335,41 @@ def pair_family_valid(pairs, m: int, k: int):
     return True
 
 
+def _separator_witnesses_hold(d: Family, k: int, witnesses) -> bool:
+    """True iff, for each pair (i, witness), the witness's separator is a set
+    of at most k ground elements and member i's key, its intersection with
+    the separator, is the witness's key and that of no other member.  The
+    witnesses are grouped by separator, so each separator's keys are read
+    once however many members it witnesses."""
+    owners: dict[int, list] = {}
+    for i, wit in witnesses:
+        owners.setdefault(wit.separator, []).append((i, wit.key))
+    for S, group in owners.items():
+        if S < 0 or S >> d.ground_size or S.bit_count() > k:
+            return False
+        keys = [w & S for w in d.members]
+        for i, key in group:
+            if keys[i] != key or keys.count(key) != 1:
+                return False
+    return True
+
+
 def check_separator_witness(d: Family, i: int, witness: SeparatorWitness, k: int) -> bool:
     """Independent full-scan re-validation of one separator witness."""
     _require_member(d, i)
-    S = witness.separator
-    if S < 0 or S >> d.ground_size or S.bit_count() > k:
-        return False
-    if witness.key != d.members[i] & S:
-        return False
-    return list(map(S.__and__, d.members)).count(witness.key) == 1
+    _require_k(k)
+    return _separator_witnesses_hold(d, k, [(i, witness)])
 
 
 def recheck_certificate(f: Family, cert: Certificate) -> bool:
     """Re-validate every witness of a successful certificate by full scan.
 
-    Independent of the oracles' own search order: each stored witness is
-    checked against all members/elements from scratch.
+    Each stored witness is checked against the whole family from the
+    definitions, reading no separator table and relying on no search order,
+    so the recheck stays independent of the oracles.  Only the work is
+    shared: a completely-separating row is checked once per member index it
+    names, and separator witnesses once per distinct separator.  A
+    certificate whose ``k`` is not an int >= 1 fails.
     """
     if not cert.ok:
         raise ValueError("can only recheck a successful certificate")
@@ -361,27 +382,42 @@ def recheck_certificate(f: Family, cert: Certificate) -> bool:
         )
     # member indices and elements are range-checked before use: Python would
     # wrap a negative index and raise on one past the end
-    members, elements = range(len(f.members)), range(f.ground_size)
+    members, m = range(len(f.members)), f.ground_size
     if cert.prop == COMPLETELY_SEPARATING:
-        if len(cert.witnesses) != f.ground_size:
+        if len(cert.witnesses) != m:
             return False
+        bit = {v2: 1 << v2 for v2 in range(m)}
+        full = (1 << m) - 1
         for v, row in enumerate(cert.witnesses):
-            seen = set()
-            for v2, idx in row:
-                if idx not in members or v2 not in elements:
+            # per member index, the elements it must leave out; a v2 outside
+            # the ground raises KeyError and forces no shift
+            outs: dict[int, int] = {}
+            try:
+                for v2, idx in row:
+                    outs[idx] = outs.get(idx, 0) | bit[v2]
+            except KeyError:
+                return False
+            union = 0
+            for idx, out in outs.items():
+                if idx not in members:
                     return False
                 w = f.members[idx]
-                if not (w >> v) & 1 or (w >> v2) & 1:
+                if not w >> v & 1 or w & out:
                     return False
-                seen.add(v2)
-            if seen != set(elements) - {v}:
+                union |= out
+            if union != full ^ 1 << v:
                 return False
         return True
+    if cert.prop not in (HYPERCOMPLETELY, NICE, HYPERSEPARATING):
+        raise ValueError(f"unknown certificate property {cert.prop!r}")
+    k = cert.k
+    if not isinstance(k, int) or k < 1:
+        return False
     if cert.prop == HYPERCOMPLETELY:
-        if len(cert.witnesses) != f.ground_size:
+        if len(cert.witnesses) != m:
             return False
         for v, idxs in enumerate(cert.witnesses):
-            if not 1 <= len(idxs) <= cert.k or len(set(idxs)) != len(idxs):
+            if not 1 <= len(idxs) <= k or len(set(idxs)) != len(idxs):
                 return False
             if not all(t in members for t in idxs):
                 return False
@@ -391,11 +427,8 @@ def recheck_certificate(f: Family, cert: Certificate) -> bool:
             if acc != 1 << v:
                 return False
         return True
-    if cert.prop in (NICE, HYPERSEPARATING):
-        # a hyperseparating certificate is the nice certificate of the dual
-        d = f if cert.prop == NICE else dual(f)
-        return len(cert.witnesses) == len(d.members) and all(
-            check_separator_witness(d, i, w, cert.k)
-            for i, w in enumerate(cert.witnesses)
-        )
-    raise ValueError(f"unknown certificate property {cert.prop!r}")
+    # a hyperseparating certificate is the nice certificate of the dual
+    d = f if cert.prop == NICE else dual(f)
+    return len(cert.witnesses) == len(d.members) and _separator_witnesses_hold(
+        d, k, enumerate(cert.witnesses)
+    )
