@@ -44,7 +44,12 @@ shares, so the child's candidates are the later words outside their kill
 masks that still hold a free pair.  The killed words are counted by
 popcount, w's own kill mask first and then one member's at a time, so about
 half the hopeless children are given up before any member or word is
-walked; only the words kept are walked, for their free pairs and reach.
+walked.  The words kept still need a free pair that w does not take, and
+the child needs their reach: byte tables of the witness table give the OR
+of ``holders`` over those free pairs, and then the OR of ``pairs`` over the
+words it keeps, one lookup per byte of each mask.  Where the free pairs
+span more bytes than there are words left, as in most k >= 3 tables, the
+words are walked one at a time instead.
 
 A second bound is the paper's count behind g(m,2) <= C(m,2): each member
 needs a (witness, key) pair of its own.  A pair (S, key) is free while no
@@ -174,8 +179,9 @@ class ExistenceResult(Value):
 
 @lru_cache(maxsize=None)
 def _witness_tables(m: int, k: int, owned: bool):
-    """The witness pair table of the m-ground and the memo of kill masks:
-    ``(pairs, holders, kills)``.
+    """The witness pair table of the m-ground, the memo of kill masks and
+    the byte tables of both masks: ``(pairs, holders, kills, pair_bytes,
+    holder_bytes)``.
 
     Witnesses are the sets of at most k elements of
     ``verify.separator_table``.  For separators a pair is a witness S with a
@@ -187,8 +193,12 @@ def _witness_tables(m: int, k: int, owned: bool):
     holds those with T <= w.  Either way a member's witnesses are the pairs
     it holds alone, and ``holders[p]`` is the mask of the words holding
     pair p.  ``kills`` is the memo of ``_DFS.killers``, kept with the table
-    it reads.  ``_DFS`` asks for k = min(k, m), at least 1 as the separator
-    table needs, so every k >= m shares one table and memo.
+    it reads.  ``pair_bytes[j][b]`` is the OR of ``pairs`` over the words
+    set in byte b of a word mask at byte j, and ``holder_bytes[j][b]`` the
+    OR of ``holders`` over the pairs set in byte b of a pair mask at byte j,
+    so a mask's OR is one lookup per byte.  ``_DFS`` asks for k = min(k, m),
+    at least 1 as the separator table needs, so every k >= m shares one
+    table and memo.
     """
     seps = separator_table(m, k)[0]
     words = range(1 << m)
@@ -211,7 +221,24 @@ def _witness_tables(m: int, k: int, owned: bool):
             if p is not None:
                 pairs[w] |= 1 << p
                 holders[p] |= 1 << w
-    return tuple(pairs), tuple(holders), {}
+    pairs, holders = tuple(pairs), tuple(holders)
+    return pairs, holders, {}, _byte_tables(pairs), _byte_tables(holders)
+
+
+def _byte_tables(items):
+    """For each byte j of a mask over ``items``, the 256 ORs of
+    ``items[8 * j + i]`` over the bits i of each byte value; bits past the
+    last item add nothing."""
+    tables = []
+    for base in range(0, len(items), 8):
+        # the entries with bit i set are those below them, each with item i
+        t = [0]
+        for item in items[base:base + 8]:
+            t += [x | item for x in t]
+        while len(t) < 256:
+            t += t
+        tables.append(tuple(t))
+    return tuple(tables)
 
 
 class _Budget:
@@ -239,12 +266,13 @@ class _DFS:
     """
 
     __slots__ = (
-        "pairs", "holders", "kills", "m", "k", "owned", "group", "min_left",
-        "stop", "budget", "best", "best_members", "nodes", "roots",
+        "pairs", "holders", "kills", "pair_bytes", "holder_bytes", "m", "k", "owned",
+        "group", "min_left", "stop", "budget", "best", "best_members", "nodes", "roots",
     )
 
     def __init__(self, m, k, owned, group, best, stop, budget):
-        self.pairs, self.holders, self.kills = _witness_tables(m, max(1, min(k, m)), owned)
+        (self.pairs, self.holders, self.kills, self.pair_bytes,
+         self.holder_bytes) = _witness_tables(m, max(1, min(k, m)), owned)
         self.m = m
         self.k = k
         self.owned = owned
@@ -285,6 +313,8 @@ class _DFS:
             if s >= self.stop:
                 return
         pairs = self.pairs
+        pair_bytes = self.pair_bytes
+        holder_bytes = self.holder_bytes
         memo = self.kills.get
         free = reach & ~used
         min_left = self.min_left[s]
@@ -311,7 +341,8 @@ class _DFS:
             # that w does not hold (see the module docstring); the child's
             # candidates are some of ours.
             pw = pairs[w]
-            if (free & ~pw).bit_count() < need:
+            fw = free & ~pw
+            if fw.bit_count() < need:
                 continue
             if left >= min_left and not is_canonical((*members, w), self.m, self.group):
                 continue
@@ -335,22 +366,49 @@ class _DFS:
             slack -= dead.bit_count()
             if slack < 0:
                 continue
-            alive = ~(used | pw)
+            # A later word can join while it holds a pair of fw: its pairs
+            # lie in reach, so one outside used and pw is in fw.  From the
+            # byte tables, the words holding a pair of fw take one lookup
+            # per byte of fw, and their reach one per byte of the word mask
+            # above w; when fw spans more bytes than there are words left,
+            # as in most k >= 3 tables, walking the words takes fewer steps.
             child = rest = later & ~dead
-            child_reach = 0
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                p2 = pairs[bit.bit_length() - 1]
-                if p2 & alive:
-                    child_reach |= p2
-                else:
-                    child ^= bit
-                    slack -= 1
-                    if slack < 0:
+            words = rest.bit_count()
+            if (fw.bit_length() + 7) >> 3 <= words:
+                keep = 0
+                x = fw
+                for t in holder_bytes:
+                    keep |= t[x & 255]
+                    x >>= 8
+                    if not x:
                         break
-            if slack < 0:
-                continue
+                child &= keep
+                slack -= words - child.bit_count()
+                if slack < 0:
+                    continue
+                # the child's words lie above w, from the byte of w + 1 on
+                child_reach = 0
+                j = (w + 1) >> 3
+                x = child >> (j << 3)
+                while x:
+                    child_reach |= pair_bytes[j][x & 255]
+                    x >>= 8
+                    j += 1
+            else:
+                child_reach = 0
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    p2 = pairs[bit.bit_length() - 1]
+                    if p2 & fw:
+                        child_reach |= p2
+                    else:
+                        child ^= bit
+                        slack -= 1
+                        if slack < 0:
+                            break
+                if slack < 0:
+                    continue
             members.append(w)
             # best >= SPLIT_DEPTH once the first root has been visited
             if queue and self.nodes >= SPLIT_MIN_NODES and self.best >= SPLIT_DEPTH:

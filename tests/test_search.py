@@ -392,6 +392,7 @@ PINNED_NODES = {
     # 3288 before the root split: later roots start from the first root's 12
     "g(6,2)": (lambda: max_nice_size(6, 2), 3290),
     "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 1511),
+    "exists(6,2,12)": (lambda: exists_nice_of_size(6, 2, 12), 25),
     # most of the work of these two lies in queued roots
     "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), 29012),
     "exists(5,2,11)-nosym": (lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), 28998),
@@ -441,7 +442,7 @@ def test_owned_pairs_are_the_subsets_and_holders_the_transpose():
     for m, k in [(m, k) for m in range(0, 5) for k in range(1, m + 2)] + [(5, 2), (6, 2)]:
         seps = separator_table(m, k)[0]
         for owned in (False, True):
-            pairs, holders, _ = search._witness_tables(m, k, owned)
+            pairs, holders = search._witness_tables(m, k, owned)[:2]
             if owned:
                 assert len(holders) == len(seps)
                 for w in range(1 << m):
@@ -450,6 +451,25 @@ def test_owned_pairs_are_the_subsets_and_holders_the_transpose():
             for p, held in enumerate(holders):
                 assert held == sum(1 << w for w in range(1 << m) if pairs[w] >> p & 1)
             assert all(p >> len(holders) == 0 for p in pairs)
+
+
+def test_byte_tables_are_the_ors_of_their_bytes():
+    # entry b of byte table j is the OR of the items 8j + i over the bits i
+    # of b, for the pairs of every word and the holders of every pair
+    for m in range(0, 7):
+        for k in range(1, m + 2):
+            for owned in (False, True):
+                pairs, holders, _, pair_bytes, holder_bytes = search._witness_tables(m, k, owned)
+                for items, tables in ((pairs, pair_bytes), (holders, holder_bytes)):
+                    assert len(tables) == (len(items) + 7) // 8, (m, k, owned)
+                    for j, t in enumerate(tables):
+                        byte = items[8 * j:8 * j + 8]
+                        want = [0] * 256
+                        for b in range(256):
+                            for i, item in enumerate(byte):
+                                if b >> i & 1:
+                                    want[b] |= item
+                        assert list(t) == want, (m, k, owned, j)
 
 
 def _check_free_pair_count(members, m, k, owned=False):
@@ -560,6 +580,7 @@ PREFIX_RULE_NODES = {
     "g(5,3)": (842, 3220),
     "g(6,2)": (1024, 3506),
     "exists(6,2,16)": (549, 1634),
+    "exists(6,2,12)": (22, 25),
     "g(5,2)-nosym": (29012, 29012),
     "exists(5,2,11)-nosym": (28998, 28998),
 }
@@ -594,9 +615,14 @@ def _holds(m, k, owned, words):
     return owns_unique_subsets(fam, k) if owned else bool(is_nice(fam, k))
 
 
-# The child filter is tested at every node these searches visit.
-CHILD_FILTER_CASES = ["g(5,2)", "exists(5,3,20)", "unique(5,2)", "unique(5,2)-nosym",
-                      "pair-family(4,2)"]
+# The child filter is tested at every node these searches visit.  Children
+# whose free pairs span no more bytes than their later words are built from
+# the byte tables, the others by walking the words.  exists(6,2,12) takes
+# the tables on the eight bytes of an m = 6 word mask and exists(5,3,20)
+# walks most of its children, but neither drops a word there; g(5,3) drops
+# 11 while walking, and exists(6,2,16) 186 from the tables and 9 walking.
+CHILD_FILTER_CASES = ["g(5,2)", "exists(5,3,20)", "exists(6,2,12)", "g(5,3)", "exists(6,2,16)",
+                      "unique(5,2)", "unique(5,2)-nosym", "pair-family(4,2)"]
 
 
 def test_child_filter_keeps_exactly_the_words_that_can_join(monkeypatch):
@@ -626,6 +652,8 @@ def test_child_filter_keeps_exactly_the_words_that_can_join(monkeypatch):
         return dfs_run(self, members, cands, used, twice, reach)
 
     monkeypatch.setattr(search._DFS, "run", checked_run)
+    # every node is checked and counted in this process
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
     for name in CHILD_FILTER_CASES:
         nodes[0] = 0
         assert PINNED_NODES[name][0]().nodes_visited == nodes[0], name
