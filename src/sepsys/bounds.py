@@ -7,6 +7,18 @@ Everything is exact integer arithmetic: each least m is found by doubling
 then bisecting over a function nondecreasing in m, with no floating-point
 inversions anywhere, so results are reproducible bit-exactly and a huge n
 costs only a logarithmic number of evaluations.
+
+``pair_family_size(m, k)`` is the most distinct (separator, key) pairs, each
+key inside a separator of at most k of m elements, whose separators form a
+Sperner family per key: the paper's count.  A key of j elements carries the
+separators key | T, T among the other m - j elements, and by LYM (Lubell
+1966, J. Combin. Theory 1) their largest antichains are the largest full
+levels, of C(m - j, min(k - j, floor((m - j)/2))) sets; the sum over keys is
+2^k * C(m, k) once m >= 2k.  Members that each own a subset of at most k
+elements, contained in no other member, number at most C(m, min(k,
+floor(m/2))), the paper's C(m, k'): each owned T and the complement of its
+member form a set pair of Bollobas (1965, Acta Math. Acad. Sci. Hungar. 16).
+So a key of j < k elements adds the largest such family for m - j and k - j.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ class BoundPair(Value):
     """A lower/upper sandwich for the minimum k-hyperseparating system size.
 
     lower_source reports which argument produced the lower bound;
-    lower_clamped is set when the pair-family formula fell below the
+    lower_clamped is set when the pair count fell below the
     information-theoretic floor and was raised to it.
     """
 
@@ -62,6 +74,16 @@ def binom(m: int, j: int) -> int:
     if j < 0 or j > m:
         return 0
     return comb(m, j)
+
+
+def pair_family_size(m: int, k: int) -> int:
+    """The most (separator, key) pairs on m elements (see the module docstring)."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    _require_k(k)
+    if m >= 2 * k:  # the top level fits every key
+        return (1 << k) * comb(m, k)
+    return sum(comb(m, j) * comb(m - j, min(k - j, (m - j) // 2)) for j in range(min(k, m) + 1))
 
 
 def k_prime(m: int, k: int) -> int:
@@ -109,20 +131,16 @@ def f_bounds(n: int, k: int) -> BoundPair:
     """Sandwich for the minimum k-hyperseparating system size on n elements.
 
     Upper bound: the k-hypercompletely-separating construction size.  Lower
-    bound: the pair-counting formula min{m : 2^k * C(m, k) >= n} when
-    n > C(2k-1, k), clamped to the separating floor ceil(log2 n) (every
-    k-hyperseparating system separates); otherwise the separating floor
-    itself.
+    bound: min{m : pair_family_size(m, k) >= n} when n > C(2k-1, k), raised
+    to the separating floor ceil(log2 n), which every k-hyperseparating
+    system needs; otherwise that floor itself.
     """
     upper = min_m_hcs(n, k)  # rejects n < 2 and k < 1 first
     floor_sep = separating_min(n)
     # n > C(2k-1, k), the middle binomial of 2k-1, without building it for a huge k
     if spencer_min(n) > 2 * k - 1:
-        m = _least_m(lambda m: (1 << k) * binom(m, k) >= n, 1)
-        if m < floor_sep:
-            pair = BoundPair(floor_sep, upper, PAIR_FAMILY, lower_clamped=True)
-        else:
-            pair = BoundPair(m, upper, PAIR_FAMILY)
+        m = _least_m(lambda m: pair_family_size(m, k) >= n, 1)
+        pair = BoundPair(max(m, floor_sep), upper, PAIR_FAMILY, lower_clamped=m < floor_sep)
     else:
         pair = BoundPair(floor_sep, upper, INFO_THEORETIC)
     assert pair.lower <= pair.upper

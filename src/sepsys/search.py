@@ -29,10 +29,7 @@ owns the table that ``is_nice`` reads too.
 
 Each model has its own pair table.  Nice families hold every pair.  A
 member that must own a subset T of itself, contained in no other member,
-has only the pairs (T, T): a word holds (T, T) exactly when T <= w.  A pair
-family is, per key, such a search over separators of at most k elements;
-each owns itself, so it keeps a witness while it is incomparable with
-every other member.
+has only the pairs (T, T): a word holds (T, T) exactly when T <= w.
 
 A node's candidates are one 2^m-bit word mask, walked low bit first,
 after the bitset candidate sets of San Segundo, Rodriguez-Losada & Jimenez
@@ -94,6 +91,7 @@ import sys
 import time
 from functools import lru_cache
 
+from . import bounds
 from .core import (
     CapacityError,
     Family,
@@ -103,8 +101,8 @@ from .core import (
     dual,
     is_canonical,
 )
-from .core import Value, _require_k, _require_n, _set
-from .verify import separator_table
+from .core import Value, _check_ground, _require_k, _require_n, _set
+from .verify import separator_table, words_of_size
 
 # A child prefix of d words is tested for canonicity when d <= SYMMETRY_DEPTH,
 # or when d <= DEEP_SYMMETRY_DEPTH and at least DEEP_MIN_LEFT[m] later words
@@ -128,6 +126,7 @@ SEARCH_MAX_GROUND = 6  # the largest m any search accepts
 # (2-vCPU host, CPython 3.11), and 256 nodes take about 3.3 ms.
 SPLIT_DEPTH = 2
 SPLIT_MIN_NODES = 256
+PAIR_FAMILY_CAP = 1 << 16  # the most pairs max_pair_family lists; (64, 8) has about 10^12
 # The most kill masks memoized per witness table, as many as
 # ``core.is_canonical`` caches; the memo is cleared when full.
 KILLS_MEMO_SIZE = 1 << 15
@@ -439,25 +438,15 @@ class _DFS:
         return dead
 
 
-def _search(m, k, group, best, stop, budget, words=None, owned=False):
-    """Run the DFS from the empty family under ``budget``, a _Budget, to
-    beat ``best`` and stop at ``stop`` members.
-
-    The candidates are ``words`` (by default every word of the m-ground),
-    each starting with every pair of its witness model.  Returns (members,
-    exhausted, nodes): members is the first family in DFS order that beats
-    ``best`` with the most members up to ``stop``, the best so far on
-    expiry, and () if none beats it.
-
-    Roots queued by the DFS run in ``_run_roots``; the results and node
-    counts do not depend on which process ran them.
-    """
+def _search(m, k, group, best, stop, budget, owned=False):
+    """Run the DFS from the empty family, whose candidates are every word
+    of the m-ground and whose reach is every pair, and then the roots it
+    queued, under ``budget``, a _Budget, to beat ``best`` and stop at
+    ``stop`` members.  Returns (members, exhausted, nodes): members is the
+    first family in DFS order that beats ``best`` with the most members up
+    to ``stop``, the best so far on expiry, and () if none beats it."""
     dfs = _DFS(m, k, owned, group, best, stop, budget)
-    cands = reach = 0
-    for w in range(1 << m) if words is None else words:
-        cands |= 1 << w
-        reach |= dfs.pairs[w]
-    dfs.run([], cands, 0, 0, reach)
+    dfs.run([], (1 << (1 << m)) - 1, 0, 0, (1 << len(dfs.holders)) - 1)
     if dfs.roots and not budget.expired:
         _run_roots(dfs)
     return dfs.best_members, not budget.expired, dfs.nodes
@@ -467,12 +456,10 @@ def _run_roots(dfs):
     """Run the roots ``dfs`` queued, each as its own DFS from the best
     reached before them, and merge their results in root order.
 
-    A root's nodes and result depend only on its queued arguments and that
-    starting best, so they are the same whichever process runs it.  Nodes
-    are summed; the best changes only on a strictly better root, and once
-    it reaches ``stop`` the nodes count up to that root.  An expired budget
-    in any root expires the search.  Roots run here in order until they
-    have visited SPLIT_MIN_NODES nodes; if two or more are left then,
+    Nodes are summed; the best changes only on a strictly better root, and
+    once it reaches ``stop`` the nodes count up to that root.  An expired
+    budget in any root expires the search.  Roots run here in order until
+    they have visited SPLIT_MIN_NODES nodes; if two or more are left then,
     ``_share`` runs them with a helper.
     """
     roots, start, stop, budget = dfs.roots, dfs.best, dfs.stop, dfs.budget
@@ -699,26 +686,20 @@ def max_unique_subset_family(
 
 def max_pair_family(m: int, k: int) -> SearchReport:
     """Largest family of distinct (separator, key) pairs with per-key
-    Sperner separators of size <= k.
-
-    Keys constrain nothing across groups, so the optimum decomposes as an
-    independent maximum antichain per key.  Each is an owned-subset search
-    over the separators carrying the key: a separator owns itself, so it
-    keeps a witness exactly while it is incomparable with the others.
-    """
-    _check_mk(m, k)
-    words = range(1 << m)
-    budget = _Budget(None)
-    nodes = 0
-    pairs: list[SeparatorWitness] = []
-    for key in words:
-        if key.bit_count() > k:
-            continue
-        seps = [S for S in words if S & key == key and S.bit_count() <= k]
-        members, _, n = _search(m, k, None, 0, len(seps) + 1, budget, words=seps, owned=True)
-        nodes += n
-        pairs.extend(SeparatorWitness(S, key) for S in members)
-    return SearchReport(len(pairs), None, True, nodes, example_pairs=tuple(pairs))
+    Sperner separators of size <= k, built without a search: by LYM (see
+    ``bounds``) each key, in word order, takes its separators in word order
+    from the lowest largest level that fits, the lexicographically least
+    optimum.  More than PAIR_FAMILY_CAP pairs are refused before any is built."""
+    _check_ground(m)
+    best = bounds.pair_family_size(m, k)
+    if best > PAIR_FAMILY_CAP:
+        raise CapacityError(f"max-pair-family({m},{k}) has {best} pairs, above {PAIR_FAMILY_CAP}")
+    pairs = []
+    for key in sorted(w for j in range(min(k, m) + 1) for w in words_of_size(m, j)):
+        j = key.bit_count()
+        level = words_of_size(m, min(k - j, (m - j) // 2))
+        pairs += [SeparatorWitness(key | t, key) for t in level if not t & key]
+    return SearchReport(best, None, True, 0, example_pairs=tuple(pairs))
 
 
 def _check_mk(m: int, k: int) -> None:

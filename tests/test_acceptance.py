@@ -38,6 +38,7 @@ from sepsys import (
     spencer_min,
     switch,
 )
+from sepsys.bounds import pair_family_size
 from sepsys.construct import CASE_NO_REDUCTION
 from sepsys.core import word_of
 from sepsys.search import (
@@ -133,13 +134,23 @@ def test_criterion_4_unique_subset_sharpness():
 
 
 def test_criterion_5_pair_family_and_sandwich():
-    with criterion(5, "max pair family equals 2^k*C(m,k); bound sandwich to n = 200"):
+    with criterion(5, "max pair family equals the LYM count at every m <= 6 and at"
+                      " (64,2); bound sandwich to n = 200"):
         t0 = time.time()
-        for k, m in ((1, 2), (1, 3), (2, 4), (2, 5)):
+        cases = [(k, m) for m in range(7) for k in range(1, 8)] + [(2, 64)]
+        for k, m in cases:
             rep = max_pair_family(m, k)
-            assert rep.best == (1 << k) * binom(m, k), (k, m, rep.best)
+            assert rep.best == pair_family_size(m, k), (k, m, rep.best)
+            if m >= 2 * k:
+                assert rep.best == (1 << k) * binom(m, k), (k, m, rep.best)
+            if m <= 6:
+                # per key of j elements, the owned-subset search on the rest
+                per_key = [binom(m, j) * (max_unique_subset_family(m - j, k - j).best
+                                          if j < k else 1) for j in range(min(k, m) + 1)]
+                assert rep.best == sum(per_key), (k, m, rep.best)
             assert len(rep.example_pairs) == rep.best
             assert pair_family_valid(list(rep.example_pairs), m, k) is True
+        assert max_pair_family(64, 2).best == 8064
         for n in range(2, 201):
             b = f_bounds(n, 2)
             assert b.lower <= f2_exact(n) <= b.upper, n

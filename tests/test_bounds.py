@@ -14,7 +14,7 @@ from sepsys import (
     separating_min,
     spencer_min,
 )
-from sepsys.bounds import INFO_THEORETIC, PAIR_FAMILY
+from sepsys.bounds import INFO_THEORETIC, PAIR_FAMILY, pair_family_size
 
 
 def test_binom_values():
@@ -112,6 +112,51 @@ def test_f_bounds_clamp_binds_near_threshold():
     # at n = 9, k = 2 the pair formula gives 3 but separation already needs 4
     b = f_bounds(9, 2)
     assert b.lower == 4 and b.lower_clamped and b.lower_source == PAIR_FAMILY
+
+
+def test_pair_family_size_values():
+    assert pair_family_size(0, 1) == 1  # the empty pair
+    assert pair_family_size(2, 2) == 5  # 2 + 2 + 1, above 2^2 * C(2,2)
+    assert pair_family_size(3, 2) == 12  # the empty key takes a level of 3
+    assert pair_family_size(6, 3) == 160 == 8 * comb(6, 3)
+    assert pair_family_size(64, 2) == 8064
+    # every k >= m gives the k = m count: each key takes its middle level
+    for m in range(8):
+        want = sum(comb(m, j) * comb(m - j, (m - j) // 2) for j in range(m + 1))
+        assert pair_family_size(m, max(m, 1)) == pair_family_size(m, m + 5) == want, m
+    # from m = 2k - 1 on, each key takes its top level, and the keys' terms
+    # sum to 2^k * C(m, k), which the count returns from m = 2k on
+    for m in range(1, 40):
+        for k in range(1, (m + 1) // 2 + 1):
+            terms = [comb(m, j) * comb(m - j, min(k - j, (m - j) // 2)) for j in range(k + 1)]
+            assert pair_family_size(m, k) == sum(terms) == (1 << k) * comb(m, k), (m, k)
+    with pytest.raises(ValueError):
+        pair_family_size(-1, 2)
+    with pytest.raises(ValueError):
+        pair_family_size(3, 0)
+
+
+def test_f_bounds_lower_side_matches_the_old_pair_rule():
+    # The lower side read min{m : 2^k * C(m, k) >= n} before it read the
+    # pair count.  The two agree from m = 2k - 1 on.  Below, the old rule
+    # is smaller than the count, and its least m was larger: at these four
+    # points the count reaches n one set earlier, below the separating
+    # floor, so the floor is unchanged but now marked clamped.
+    flagged = {(5, 2), (11, 3), (12, 3), (13, 3)}
+    for k in range(1, 12):
+        m = 1
+        for n in range(2, 4097):
+            while (1 << k) * comb(m, k) < n:
+                m += 1
+            b = f_bounds(n, k)
+            if b.lower_source == INFO_THEORETIC:
+                assert comb(2 * k - 1, k) >= n, (n, k)
+                assert (b.lower, b.lower_clamped) == (separating_min(n), False), (n, k)
+                continue
+            assert comb(2 * k - 1, k) < n, (n, k)
+            floor = separating_min(n)
+            clamped = m < floor or (n, k) in flagged
+            assert (b.lower, b.lower_clamped) == (max(m, floor), clamped), (n, k)
 
 
 def test_f_bounds_sandwich_up_to_200():

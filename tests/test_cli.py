@@ -510,9 +510,34 @@ def test_search_unique_subset_and_pair_family(capsys):
     assert code == EXIT_OK and "max-pair-family(5,3) = 80 (exhausted)" in out
 
 
+def test_search_pair_family_past_the_search_cap(capsys):
+    # the pair family is built, not searched, so m is not held to 6
+    code, out, _ = run(capsys, ["search", "--problem", "pair-family", "--m", "12", "--format",
+                                "text"])
+    lines = out.splitlines()
+    assert code == EXIT_OK
+    assert lines[:2] == ["max-pair-family(12,2) = 264 (exhausted)", "nodes: 0"]
+    assert len(lines) == 2 + 264 and lines[2] == "separator {0,1} key {}"
+
+
+def test_search_pair_family_refuses_an_oversized_family():
+    # (64, 8) would list about 10^12 pairs; it is refused before any is built
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepsys.cli", "search", "--problem", "pair-family", "--m", "64",
+         "--k", "8"],
+        capture_output=True, text=True, env=_cli_env(), timeout=10,
+    )
+    assert time.perf_counter() - t0 < 1
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == (
+        "error: max-pair-family(64,8) has 1133098334208 pairs, above 65536\n"
+    )
+
+
 def test_search_pair_family_formats(capsys):
     argv = ["search", "--problem", "pair-family", "--m", "2", "--k", "1"]
-    head = ["max-pair-family(2,1) = 4 (exhausted)", "nodes: 8"]
+    head = ["max-pair-family(2,1) = 4 (exhausted)", "nodes: 0"]
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
     assert out.splitlines() == head + [

@@ -38,6 +38,20 @@ def test_import_registers_every_layer_and_executes_none():
     assert _python(code).decode().strip() == f"{registered!r} []"
 
 
+def test_a_search_leaves_bounds_unloaded():
+    # search reads ``bounds`` only for the pair family, through the lazy
+    # module, so the other searches compile no ``bounds``
+    code = (
+        "import sys, types\n"
+        "from sepsys import search\n"
+        "search.max_nice_size(4, 2)\n"
+        "print(type(sys.modules['sepsys.bounds']) is types.ModuleType)\n"
+        "search.max_pair_family(4, 2)\n"
+        "print(type(sys.modules['sepsys.bounds']) is types.ModuleType)"
+    )
+    assert _python(code).decode().split() == ["False", "True"]
+
+
 def test_every_public_name_is_the_object_in_its_home_layer():
     for name in sepsys.__all__:
         home = importlib.import_module(f"sepsys.{sepsys._HOME[name]}")

@@ -1,5 +1,6 @@
 """Searches re-derive extremal values; reports are deterministic and sound."""
 
+import hashlib
 import os
 import random
 import time
@@ -30,6 +31,7 @@ from sepsys.core import (
     relabel,
     switch_set,
 )
+from sepsys.bounds import pair_family_size
 from sepsys.verify import separator_table
 from sepsys.search import (
     DEEP_SYMMETRY_DEPTH,
@@ -385,8 +387,9 @@ PINNED_NODES = {
     "unique(6,2)": (lambda: max_unique_subset_family(6, 2), 98),
     # 160 while the count took in every witness
     "unique(5,2)-nosym": (lambda: max_unique_subset_family(5, 2, use_symmetry=False), 103),
-    "pair-family(6,2)": (lambda: max_pair_family(6, 2), 164),
-    "pair-family(4,2)": (lambda: max_pair_family(4, 2), 48),
+    # built, not searched; the per-key owned searches visited 164 and 48
+    "pair-family(6,2)": (lambda: max_pair_family(6, 2), 0),
+    "pair-family(4,2)": (lambda: max_pair_family(4, 2), 0),
     "g(6,1)": (lambda: max_nice_size(6, 1), 8),
     "g(5,3)": (lambda: max_nice_size(5, 3), 854),
     # 3288 before the root split: later roots start from the first root's 12
@@ -533,7 +536,7 @@ UNBOUNDED_NODES = {
     "g(6,2)": 4392,
     "exists(6,2,16)": 2600,
     "unique(5,2)": 40,
-    "pair-family(6,2)": 164,
+    "pair-family(6,2)": 0,
 }
 
 
@@ -574,8 +577,8 @@ PREFIX_RULE_NODES = {
     "unique(5,3)": (46, 46),
     "unique(6,2)": (69, 98),
     "unique(5,2)-nosym": (103, 103),
-    "pair-family(6,2)": (164, 164),
-    "pair-family(4,2)": (48, 48),
+    "pair-family(6,2)": (0, 0),
+    "pair-family(4,2)": (0, 0),
     "g(6,1)": (8, 8),
     "g(5,3)": (842, 3220),
     "g(6,2)": (1024, 3506),
@@ -622,7 +625,7 @@ def _holds(m, k, owned, words):
 # walks most of its children, but neither drops a word there; g(5,3) drops
 # 11 while walking, and exists(6,2,16) 186 from the tables and 9 walking.
 CHILD_FILTER_CASES = ["g(5,2)", "exists(5,3,20)", "exists(6,2,12)", "g(5,3)", "exists(6,2,16)",
-                      "unique(5,2)", "unique(5,2)-nosym", "pair-family(4,2)"]
+                      "unique(5,2)", "unique(5,2)-nosym"]
 
 
 def test_child_filter_keeps_exactly_the_words_that_can_join(monkeypatch):
@@ -1035,5 +1038,44 @@ def test_max_pair_family_bound_direction():
 def test_max_pair_family_validates_inputs():
     with pytest.raises(ValueError):
         max_pair_family(4, 0)
+    with pytest.raises(ValueError):
+        max_pair_family(-1, 2)
+    # the search cap does not apply; the 64-element ground and the pair cap do
+    assert max_pair_family(7, 2).best == 84
     with pytest.raises(CapacityError):
-        max_pair_family(7, 2)
+        max_pair_family(65, 1)
+    assert pair_family_size(64, 8) > search.PAIR_FAMILY_CAP
+    with pytest.raises(CapacityError, match="1133098334208 pairs"):
+        max_pair_family(64, 8)
+
+
+# sha256 of "separator:key,..." over the example pairs of the per-key
+# owned-subset search that built max_pair_family before the LYM
+# construction, with its value, for every m <= 6 and k <= 7 (keys in word
+# order, each key's first maximum antichain in DFS order)
+SEARCHED_PAIRS = {
+    (0, 1): (1, "ac72368a586a18c1"), (1, 1): (2, "f55f0cf216db8a8a"),
+    (2, 1): (4, "9b7ed02447f68c0a"), (2, 2): (5, "4368df6338c41b96"),
+    (3, 1): (6, "38b3ca197442c4ca"), (3, 2): (12, "7fe2f990555295e2"),
+    (3, 3): (13, "d254e52a27d4581a"), (4, 1): (8, "a7a78789cee339c1"),
+    (4, 2): (24, "bb32435a47c0d535"), (4, 3): (34, "ac2bf223aa2f076f"),
+    (4, 4): (35, "661a98452532e839"), (5, 1): (10, "f1eacfd6c25d3855"),
+    (5, 2): (40, "ca045f6a703af51d"), (5, 3): (80, "cae84d01e9ecc3b1"),
+    (5, 4): (95, "7e4f6cd951a499b5"), (5, 5): (96, "b3b2229f43e88b58"),
+    (6, 1): (12, "95f65f6bb1c97687"), (6, 2): (60, "b250f9162f921fba"),
+    (6, 3): (160, "7b02e920313154e1"), (6, 4): (245, "8260fc503e3a4b44"),
+    (6, 5): (266, "a3d98a498821f94b"), (6, 6): (267, "cf3ef645684ce4cf"),
+}
+
+
+def test_max_pair_family_reproduces_the_searched_optima():
+    # every k >= m gives the k = m family; ties between levels, as for the
+    # key 0 at (3,2), where levels 1 and 2 both hold 3 sets, take the lower
+    for m in range(7):
+        for k in range(1, 8):
+            rep = max_pair_family(m, k)
+            text = ",".join(f"{p.separator}:{p.key}" for p in rep.example_pairs)
+            digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+            assert (rep.best, digest) == SEARCHED_PAIRS[m, min(k, m) or 1], (m, k)
+            assert (rep.exhausted, rep.nodes_visited, rep.example) == (True, 0, None)
+
