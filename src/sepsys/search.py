@@ -58,7 +58,15 @@ child w needs as many more words as there are free pairs in ``reach``
 that w does not take.  Every pair of a table is a witness pair, so the
 count holds in every model.
 
-Both bounds are tested in the parent's candidate loop, before a child is
+A third bound looks ahead where a child has no slack left, i.e. needs
+every one of its candidates to beat the best: the only such family below it
+is its members, w and all of them.  That family holds only if w and every
+member keep a pair that none of its other words holds, one outside the
+pairs held twice and the child's reach, so the child is dropped when one of
+them keeps none.  The test is exact for the members and w in both witness
+models; the candidates' own witnesses are left to the child's nodes.
+
+The bounds are tested in the parent's candidate loop, before a child is
 expanded (Carraghan & Pardalos 1990), and the pair count before its
 canonical-prefix test: a child that cannot beat the best is never built,
 and building stops as soon as enough later words have been dropped to make
@@ -69,19 +77,27 @@ Reports are deterministic: a branch is cut only when it cannot beat the
 best found before it strictly, so the example reported is the first optimum
 in DFS order.
 
-Roots are the families of SPLIT_DEPTH members.  The DFS walks the first
-root, and the next ones until SPLIT_MIN_NODES nodes are visited, with one
-best shared by every branch.  It queues each later root that passes the
-tests of its parents as the arguments it has just built to visit it.  Each
-queued root then runs as its own DFS from them, from the best reached
-before the queue, and the results merge in root order (parallel DFS by
-splitting the tree, Rao & Kumar 1987).  A root's result and node count
-depend only on its arguments and that starting best, so results and node
-counts are the same for any number of workers.  A helper process, forked
-with the queue, runs roots from the back of it while this one runs them
-from the front.  It is forked once the queued roots run here have visited
-SPLIT_MIN_NODES nodes and two or more are left, and only where ``os.fork``
-exists, at least two CPUs are usable and the process runs a single thread.
+Roots are families of SPLIT_DEPTH or SPLIT_DEPTH + 1 members.  Once the DFS
+has visited SPLIT_MIN_NODES nodes, it queues each later child of those
+sizes that passes the tests of its parents, as the arguments it has just
+built to visit it, if a family of the child's size has been reached.  So
+the DFS walks the first roots itself, and the larger roots are the later
+children of the SPLIT_DEPTH-member root it is walking when it passes
+SPLIT_MIN_NODES nodes: the first root of the unreduced searches holds most
+of the tree outside the queue.  Each queued root then runs as its own DFS,
+which queues nothing, from its arguments and the best reached before the
+queue, and the results merge in root order (parallel DFS by splitting the
+tree, Rao & Kumar 1987).  A root's result and node count depend only on its
+arguments and that starting best, so results and node counts are the same
+for any number of workers.  A helper process, forked with the queue, runs
+roots from the back of it while this one runs them from the front.  It is
+forked at once when SPLIT_MIN_ROOTS or more roots are queued, and only
+where ``os.fork`` exists, at least two CPUs are usable and the process runs
+a single thread.  The unreduced searches queue hundreds of roots and fork.
+The symmetry-reduced ones queue a few (g(5,3) 3, exists(6,2,16) 6, g(6,2)
+7) and do not: ``core.is_canonical`` caches its results per process, so the
+helper's canonical-prefix tests die with it and this process repeats them
+in later searches.
 """
 
 from __future__ import annotations
@@ -119,13 +135,18 @@ SYMMETRY_DEPTH = 5
 DEEP_SYMMETRY_DEPTH = 8
 DEEP_MIN_LEFT = (10, 10, 10, 10, 10, 10, 32)  # by m
 SEARCH_MAX_GROUND = 6  # the largest m any search accepts
-# Roots are the families of SPLIT_DEPTH members; splitting deeper would
-# queue single-digit subtrees in the symmetric searches.  SPLIT_MIN_NODES
-# is about the DFS work that pays for one helper: a fork, its join and the
+# Roots are families of SPLIT_DEPTH or SPLIT_DEPTH + 1 members; splitting
+# deeper would queue single-digit subtrees in the symmetric searches.  The
+# DFS queues roots once it has visited SPLIT_MIN_NODES nodes, and forks a
+# helper for SPLIT_MIN_ROOTS or more of them.  A fork, its join and the
 # copy-on-write faults that follow cost about 3.5 ms in a 15 MB process
-# (2-vCPU host, CPython 3.11), and 256 nodes take about 3.3 ms.
+# (2-vCPU host, CPython 3.11), and 256 nodes take about 3.3 ms.  A gate of 4
+# roots forks for g(6,2), whose helper's canonical-prefix tests are then
+# lost to this process: repeated calls took about 47-55 ms against 22-24 ms
+# (medians of 15 per process), though the first, cold call was faster.
 SPLIT_DEPTH = 2
 SPLIT_MIN_NODES = 256
+SPLIT_MIN_ROOTS = 8
 PAIR_FAMILY_CAP = 1 << 16  # the most pairs max_pair_family lists; (64, 8) has about 10^12
 # The most kill masks memoized per witness table, as many as
 # ``core.is_canonical`` caches; the memo is cleared when full.
@@ -266,10 +287,11 @@ class _DFS:
 
     __slots__ = (
         "pairs", "holders", "kills", "pair_bytes", "holder_bytes", "m", "k", "owned",
-        "group", "min_left", "stop", "budget", "best", "best_members", "nodes", "roots",
+        "group", "min_left", "stop", "budget", "best", "best_members", "nodes", "split",
+        "roots",
     )
 
-    def __init__(self, m, k, owned, group, best, stop, budget):
+    def __init__(self, m, k, owned, group, best, stop, budget, split=False):
         (self.pairs, self.holders, self.kills, self.pair_bytes,
          self.holder_bytes) = _witness_tables(m, max(1, min(k, m)), owned)
         self.m = m
@@ -288,6 +310,8 @@ class _DFS:
         self.best = best
         self.best_members: tuple[int, ...] = ()
         self.nodes = 0
+        # the sizes of the nodes whose children may be queued as roots
+        self.split = (SPLIT_DEPTH - 1, SPLIT_DEPTH) if split else ()
         self.roots = []  # queued roots: (``run`` arguments, nodes before)
 
     def run(self, members, cands, used, twice, reach):
@@ -318,7 +342,7 @@ class _DFS:
         free = reach & ~used
         min_left = self.min_left[s]
         # whether the children are roots, which may be queued
-        queue = s == SPLIT_DEPTH - 1
+        queue = s in self.split
         later = cands
         left = cands.bit_count()
         # the children in increasing word order: the lowest bit of later
@@ -408,9 +432,15 @@ class _DFS:
                             break
                 if slack < 0:
                     continue
+            # With no slack left every later word must join, so the only
+            # family that can beat the best is the members, w and all of
+            # child: it fails unless w and every member keep a pair that no
+            # other of its words holds.
+            if slack == 0 and not self.completes(w, members, child_twice | child_reach):
+                continue
             members.append(w)
-            # best >= SPLIT_DEPTH once the first root has been visited
-            if queue and self.nodes >= SPLIT_MIN_NODES and self.best >= SPLIT_DEPTH:
+            # a root is queued once a family of its size has been reached
+            if queue and self.nodes >= SPLIT_MIN_NODES and self.best > s:
                 args = (members[:], child, used | pw, child_twice, child_reach)
                 self.roots.append((args, self.nodes))
             else:
@@ -418,6 +448,19 @@ class _DFS:
             members.pop()
             if self.budget.expired or self.best >= self.stop:
                 return
+
+    def completes(self, w, members, held):
+        """Whether the new word w and every member keep a pair outside
+        ``held``, the pairs that two or more of them hold or that a word
+        still to join holds."""
+        pairs = self.pairs
+        free = ~held
+        if not pairs[w] & free:
+            return False
+        for x in members:
+            if not pairs[x] & free:
+                return False
+        return True
 
     def killers(self, u):
         """The mask of the words that hold every pair of u, the AND of
@@ -445,7 +488,7 @@ def _search(m, k, group, best, stop, budget, owned=False):
     ``stop`` members.  Returns (members, exhausted, nodes): members is the
     first family in DFS order that beats ``best`` with the most members up
     to ``stop``, the best so far on expiry, and () if none beats it."""
-    dfs = _DFS(m, k, owned, group, best, stop, budget)
+    dfs = _DFS(m, k, owned, group, best, stop, budget, split=True)
     dfs.run([], (1 << (1 << m)) - 1, 0, 0, (1 << len(dfs.holders)) - 1)
     if dfs.roots and not budget.expired:
         _run_roots(dfs)
@@ -458,9 +501,8 @@ def _run_roots(dfs):
 
     Nodes are summed; the best changes only on a strictly better root, and
     once it reaches ``stop`` the nodes count up to that root.  An expired
-    budget in any root expires the search.  Roots run here in order until
-    they have visited SPLIT_MIN_NODES nodes; if two or more are left then,
-    ``_share`` runs them with a helper.
+    budget in any root expires the search.  When SPLIT_MIN_ROOTS or more
+    are queued, ``_share`` runs them with a helper from the start.
     """
     roots, start, stop, budget = dfs.roots, dfs.best, dfs.stop, dfs.budget
 
@@ -470,18 +512,14 @@ def _run_roots(dfs):
         return job.nodes, job.best_members, budget.expired
 
     done = {}
-    shared = False
+    if len(roots) >= SPLIT_MIN_ROOTS and _helper_allowed():
+        done = _share(run, 0, len(roots), stop)
     extra = 0
     for i, (_, at) in enumerate(roots):
         if i not in done:
             if budget.expired:
                 break
-            if not shared and extra >= SPLIT_MIN_NODES and len(roots) - i > 1:
-                shared = True
-                if _helper_allowed():
-                    done = _share(run, i, len(roots), stop)
-            if i not in done:
-                done[i] = run(i)
+            done[i] = run(i)
         nodes, found, expired = done[i]
         extra += nodes
         budget.expired = budget.expired or expired

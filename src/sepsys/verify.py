@@ -328,6 +328,11 @@ def pair_family_valid(pairs, m: int, k: int):
             )
         by_key.setdefault(p.key, []).append(p.separator)
     for key, seps in by_key.items():
+        # distinct separators of one size cannot nest, and a key's
+        # separators are distinct once no pair appears twice
+        one_size = seps[0].bit_count()
+        if all(S.bit_count() == one_size for S in seps):
+            continue
         if found := first_contained(seps):
             a, b = (seps[t] for t in found)
             return PairFamilyViolation("containment", key, (a, b),

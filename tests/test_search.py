@@ -375,10 +375,10 @@ def test_search_reports_pinned(name):
 
 # Nodes the DFS visits.  Sharper pruning may lower these, never raise them.
 PINNED_NODES = {
-    "g(5,2)": (lambda: max_nice_size(5, 2), 99),
-    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 85),
+    "g(5,2)": (lambda: max_nice_size(5, 2), 86),
+    "exists(5,2,11)": (lambda: exists_nice_of_size(5, 2, 11), 72),
     "exists(5,2,10)": (lambda: exists_nice_of_size(5, 2, 10), 12),
-    "exists(5,3,20)": (lambda: exists_nice_of_size(5, 3, 20), 79),
+    "exists(5,3,20)": (lambda: exists_nice_of_size(5, 3, 20), 52),
     # the free-pair count cut nothing in the owned searches while it
     # counted the pairs of every witness: unique(5,2) visited 40 nodes then
     "unique(5,2)": (lambda: max_unique_subset_family(5, 2), 28),
@@ -391,14 +391,14 @@ PINNED_NODES = {
     "pair-family(6,2)": (lambda: max_pair_family(6, 2), 0),
     "pair-family(4,2)": (lambda: max_pair_family(4, 2), 0),
     "g(6,1)": (lambda: max_nice_size(6, 1), 8),
-    "g(5,3)": (lambda: max_nice_size(5, 3), 854),
-    # 3288 before the root split: later roots start from the first root's 12
-    "g(6,2)": (lambda: max_nice_size(6, 2), 3290),
-    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 1511),
-    "exists(6,2,12)": (lambda: exists_nice_of_size(6, 2, 12), 25),
+    "g(5,3)": (lambda: max_nice_size(5, 3), 692),
+    # 2595 unsplit: later roots start from the best reached before the queue
+    "g(6,2)": (lambda: max_nice_size(6, 2), 2597),
+    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 1245),
+    "exists(6,2,12)": (lambda: exists_nice_of_size(6, 2, 12), 20),
     # most of the work of these two lies in queued roots
-    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), 29012),
-    "exists(5,2,11)-nosym": (lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), 28998),
+    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), 21794),
+    "exists(5,2,11)-nosym": (lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), 21780),
 }
 
 
@@ -529,13 +529,13 @@ def test_free_pair_count_on_the_optimum():
 # Nodes with the free-pair bound off.  In the owned searches it cut nothing
 # until each witness model had its own table.
 UNBOUNDED_NODES = {
-    "g(5,2)": 108,
-    "exists(5,2,11)": 94,
-    "g(5,3)": 882,
-    "g(6,1)": 15,
-    "g(6,2)": 4392,
-    "exists(6,2,16)": 2600,
-    "unique(5,2)": 40,
+    "g(5,2)": 91,
+    "exists(5,2,11)": 77,
+    "g(5,3)": 720,
+    "g(6,1)": 14,
+    "g(6,2)": 3329,
+    "exists(6,2,16)": 2024,
+    "unique(5,2)": 39,
     "pair-family(6,2)": 0,
 }
 
@@ -569,10 +569,10 @@ def test_free_pair_bound_cuts_only_nodes(name, monkeypatch):
 # when none past SYMMETRY_DEPTH is; the searches without symmetry and the
 # short ones are untouched.
 PREFIX_RULE_NODES = {
-    "g(5,2)": (86, 104),
-    "exists(5,2,11)": (73, 90),
+    "g(5,2)": (79, 90),
+    "exists(5,2,11)": (66, 76),
     "exists(5,2,10)": (12, 12),
-    "exists(5,3,20)": (79, 196),
+    "exists(5,3,20)": (52, 91),
     "unique(5,2)": (28, 28),
     "unique(5,3)": (46, 46),
     "unique(6,2)": (69, 98),
@@ -580,12 +580,12 @@ PREFIX_RULE_NODES = {
     "pair-family(6,2)": (0, 0),
     "pair-family(4,2)": (0, 0),
     "g(6,1)": (8, 8),
-    "g(5,3)": (842, 3220),
-    "g(6,2)": (1024, 3506),
-    "exists(6,2,16)": (549, 1634),
-    "exists(6,2,12)": (22, 25),
-    "g(5,2)-nosym": (29012, 29012),
-    "exists(5,2,11)-nosym": (28998, 28998),
+    "g(5,3)": (688, 2243),
+    "g(6,2)": (858, 2786),
+    "exists(6,2,16)": (482, 1361),
+    "exists(6,2,12)": (18, 20),
+    "g(5,2)-nosym": (21794, 21794),
+    "exists(5,2,11)-nosym": (21780, 21780),
 }
 
 
@@ -662,17 +662,65 @@ def test_child_filter_keeps_exactly_the_words_that_can_join(monkeypatch):
         assert PINNED_NODES[name][0]().nodes_visited == nodes[0], name
 
 
+# --- the forced-completion look-ahead ---------------------------------------
+
+
+# name: (search, children the look-ahead drops).  The owned searches up to
+# m = 6 drop only one child, in unique(6,3): a member's owned subsets are
+# rarely all inside the candidates left to it.
+LOOK_AHEAD_CASES = {
+    "g(5,2)": (PINNED_NODES["g(5,2)"][0], 13),
+    "g(5,3)": (PINNED_NODES["g(5,3)"][0], 125),
+    "g(5,2)-nosym": (PINNED_NODES["g(5,2)-nosym"][0], 7063),
+    "exists(6,2,16)": (PINNED_NODES["exists(6,2,16)"][0], 264),
+    "unique(5,2)": (PINNED_NODES["unique(5,2)"][0], 0),
+    "unique(6,3)": (lambda: max_unique_subset_family(6, 3), 1),
+}
+
+
+@pytest.mark.parametrize("name", LOOK_AHEAD_CASES)
+def test_look_ahead_drops_only_children_whose_forced_completion_fails(name, monkeypatch):
+    # A child the look-ahead drops has no slack: it needs every word that
+    # can still join it (each of the searches' words above its last one
+    # that keeps the family nice, or its subsets owned) to beat the best.
+    # That forced completion must fail, so no family that beats the best
+    # is lost.
+    run, drops = LOOK_AHEAD_CASES[name]
+    completes = search._DFS.completes
+    dropped = []
+
+    def recorded(self, w, members, held):
+        ok = completes(self, w, members, held)
+        if not ok:
+            dropped.append((self.m, self.k, self.owned, self.best, (*members, w)))
+        return ok
+
+    monkeypatch.setattr(search._DFS, "completes", recorded)
+    # every drop is recorded in this process
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    run()
+    assert len(dropped) == drops
+    for m, k, owned, best, child in dropped:
+        later = tuple(y for y in range(child[-1] + 1, 1 << m)
+                      if _holds(m, k, owned, (*child, y)))
+        assert len(child) + len(later) == best + 1, (child, later)
+        assert not _holds(m, k, owned, child + later), (child, later)
+
+
 # --- the root split ----------------------------------------------------------
 
 
 SPLIT_CASES = {
-    # name: (search, whether a helper is forked)
-    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), True),
-    "exists(5,2,11)-nosym": (lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), True),
-    "g(5,3)": (lambda: max_nice_size(5, 3), False),
-    "g(6,2)": (lambda: max_nice_size(6, 2), True),
-    "exists(6,2,13)": (lambda: exists_nice_of_size(6, 2, 13), False),
-    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), True),
+    # name: (search, queued roots of 2 and of 3 members, whether a helper is
+    # forked)
+    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), (245, 16), True),
+    "exists(5,2,11)-nosym": (
+        lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), (245, 16), True,
+    ),
+    "g(5,3)": (lambda: max_nice_size(5, 3), (2, 1), False),
+    "g(6,2)": (lambda: max_nice_size(6, 2), (4, 3), False),
+    "exists(6,2,13)": (lambda: exists_nice_of_size(6, 2, 13), (4, 3), False),
+    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), (4, 2), False),
 }
 
 
@@ -693,30 +741,64 @@ def _count_shares(monkeypatch):
     return shares
 
 
+def _count_roots(monkeypatch):
+    """The queued roots of 2 and of 3 members, one entry per search."""
+    queued = []
+    run_roots = search._run_roots
+
+    def counted(dfs):
+        sizes = [len(args[0]) for args, _ in dfs.roots]
+        queued.append((sizes.count(2), sizes.count(3)))
+        assert len(sizes) == sum(queued[-1])
+        return run_roots(dfs)
+
+    monkeypatch.setattr(search, "_run_roots", counted)
+    return queued
+
+
 @pytest.mark.parametrize("name", SPLIT_CASES)
 def test_split_reports_same_with_and_without_helper(name, monkeypatch):
-    run, forks = SPLIT_CASES[name]
+    # every field, nodes_visited included, and the queued roots are the
+    # same for one and two usable CPUs
+    run, roots, forks = SPLIT_CASES[name]
     shares = _count_shares(monkeypatch)
+    queued = _count_roots(monkeypatch)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
     alone = run()
     assert shares == []
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     helped = run()
     assert bool(shares) == forks
+    assert queued == [roots, roots]
     assert _fields(helped) == _fields(alone)
+
+
+@pytest.mark.parametrize("name", ["g(5,3)", "g(6,2)", "exists(6,2,13)", "exists(6,2,16)"])
+def test_split_reports_same_with_a_helper_for_every_queue(name, monkeypatch):
+    # With the fork gate at one root, the helper runs roots of the short
+    # symmetric queues too, roots of 3 members among them, and every field
+    # is still the same as with no helper.
+    run = SPLIT_CASES[name][0]
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    alone = run()
+    shares = _count_shares(monkeypatch)
+    monkeypatch.setattr(search, "SPLIT_MIN_ROOTS", 1)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    assert _fields(run()) == _fields(alone)
+    assert shares
 
 
 @pytest.mark.parametrize("name", PINNED_NODES)
 def test_split_moves_only_the_g62_count(name, monkeypatch):
     # Roots queued once SPLIT_MIN_NODES nodes are visited start from the
     # best reached before them, not from the running best.  Only g(6,2)
-    # improves on its first root's best in a later root, so only its
-    # count moves; searches that queue nothing cannot move at all.
+    # improves on that best in a queued root, so only its count moves;
+    # searches that queue nothing cannot move at all.
     run = PINNED_NODES[name][0]
     split = run()
     monkeypatch.setattr(search, "SPLIT_MIN_NODES", float("inf"))
     whole = run()
-    assert whole.nodes_visited == (3288 if name == "g(6,2)" else split.nodes_visited)
+    assert whole.nodes_visited == (2595 if name == "g(6,2)" else split.nodes_visited)
     fields = [f for f in type(split).__slots__ if f != "nodes_visited"]
     assert [getattr(whole, f) for f in fields] == [getattr(split, f) for f in fields]
 
@@ -789,8 +871,8 @@ def test_split_helper_without_results_runs_its_roots_here(monkeypatch):
 
 @pytest.mark.parametrize("name", ["g(5,2)-nosym", "exists(5,2,11)-nosym"])
 def test_split_budget_expiry(name, monkeypatch):
-    # The budget expires in the fourth root either side runs: after the
-    # helper is forked in this process, and at once in the helper.
+    # The helper is forked before any queued root runs, and the budget
+    # expires in the fourth root each side runs.
     started = []
 
     def check(budget):

@@ -582,6 +582,36 @@ def test_pair_family_containment_is_the_sperner_scan(case):
         assert v.message == f"key {key:#x}: separator {first[0]:#x} contained in {first[1]:#x}"
 
 
+def test_pair_family_one_size_keys_skip_the_containment_scan():
+    # Each key of the built (37, 3) family takes its separators from one
+    # level, 7 770 of them on the empty key, so the recheck reads each pair
+    # once instead of scanning all ordered pairs of separators (8.4 s).
+    from sepsys.search import max_pair_family
+
+    pairs = max_pair_family(37, 3).example_pairs
+    assert len(pairs) == 62160
+
+    def hang(signum, frame):
+        raise TimeoutError("the (37, 3) recheck took over 5 s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        t0 = time.perf_counter()
+        v = pair_family_valid(pairs, 37, 3)
+        seconds = time.perf_counter() - t0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert v is True
+    assert seconds < 1, f"the (37, 3) recheck took {seconds:.2f} s"
+    # a key with separators of two sizes is still scanned: {0, 1} carries
+    # 35 separators {0, 1, x}, and now itself
+    key = word_of([0, 1])
+    v = pair_family_valid([*pairs, SeparatorWitness(key, key)], 37, 3)
+    assert (v.kind, v.key, v.separators) == ("containment", key, (key, word_of([0, 1, 2])))
+
+
 # --- cross-property invariants ----------------------------------------------
 
 
