@@ -10,7 +10,8 @@ import time
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sepsys import Family, dual, new_family, search
+from sepsys import (Family, binary_separating, dual, new_family, search,
+                    spencer_completely_separating)
 from sepsys.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -326,6 +327,45 @@ def test_construct_pipes_into_verify(capsys, monkeypatch):
         capsys, ["verify", "--property", "completely"], out, monkeypatch
     )
     assert code == EXIT_OK and "PASS" in out2
+
+
+def _completely_report(f):
+    """The `verify --property completely` report written per ordered pair
+    from the definition: for each element v, each other element v2 in order
+    with the lowest member that holds v and misses v2, or the first pair
+    that no member splits."""
+    lines = ["PASS completely"]
+    for v in range(f.ground_size):
+        pairs = []
+        for v2 in range(f.ground_size):
+            held = [i for i, w in enumerate(f.members) if w >> v & 1 and not w >> v2 & 1]
+            if v2 != v and not held:
+                return f"FAIL completely: counterexample {(v, v2)}\n"
+            if v2 != v:
+                pairs.append(f"{v}|{v2}->set{held[0]}")
+        lines.append(f"  element {v}: " + " ".join(pairs))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("make, first", [
+    *((lambda n=n: spencer_completely_separating(n), "PASS completely") for n in (3, 7, 20)),
+    (lambda: new_family(4, [[0, 1], [0, 2], [1, 2], [2, 3], [0, 3]]), "PASS completely"),
+    (lambda: binary_separating(4), "FAIL completely: counterexample (0, 1)"),
+    (lambda: new_family(3, [[0], [1], [0, 2]]), "FAIL completely: counterexample (2, 0)"),
+], ids=["spencer-3", "spencer-7", "spencer-20", "mixed-indices", "binary-4", "late-failure"])
+def test_verify_completely_report_pinned(capsys, monkeypatch, make, first):
+    f = make()
+    code, out, err = run(capsys, ["verify", "--property", "completely"], emit_family(f), monkeypatch)
+    assert (code, err) == (EXIT_OK if first.startswith("PASS") else EXIT_FAIL, "")
+    assert out.splitlines()[0] == first
+    assert out == _completely_report(f)
+    if len(f) == 3 and first.startswith("PASS"):
+        assert out == (
+            "PASS completely\n"
+            "  element 0: 0|1->set0 0|2->set0\n"
+            "  element 1: 1|0->set1 1|2->set1\n"
+            "  element 2: 2|0->set2 2|1->set2\n"
+        )
 
 
 def test_construct_text_format_roundtrip(capsys, monkeypatch):
