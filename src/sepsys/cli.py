@@ -166,7 +166,8 @@ PROPERTIES = {
     ),
     "completely": _Property(
         "is_completely_separating", False,
-        lambda f, v, row: f"element {v}: " + " ".join(f"{v}|{v2}->set{i}" for v2, i in row),
+        lambda f, v, row: f"element {v}: " + " ".join(  # each (i, mask) as pairs, in v2 order
+            f"{v}|{v2}->set{i}" for v2, i in sorted((v2, i) for i, out in row for v2 in bits(out))),
     ),
     "hcs": _Property(
         "is_k_hypercompletely_separating", True,

@@ -3,7 +3,9 @@
 Each oracle returns a Certificate that is truthy on success and carries
 either per-element/per-member witnesses or a concrete counterexample.  All
 tie-breaking is (size, numeric word value), so results are reproducible
-bit-exactly.
+bit-exactly.  ``recheck_certificate`` re-validates witnesses from the
+definitions: one word test per (member, mask) pair of a completely-separating
+row, and one AND of member columns per separator witness, with no dual built.
 
 This module owns the separator table, ``separator_table(m, k)``: the sets
 of at most k elements in that order and, for every word d, the mask of
@@ -18,8 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .core import (CapacityError, Family, SeparatorWitness, Value, _check_words, _require_k,
-                   _set, dual, first_contained, signatures)
+from .core import (CapacityError, Family, SeparatorWitness, Value, _check_ground, _check_words,
+                   _require_k, _set, dual, first_contained, signatures)
 
 SEPARATING = "separating"
 COMPLETELY_SEPARATING = "completely-separating"
@@ -32,8 +34,9 @@ class Certificate(Value):
     """Outcome of a separation check.
 
     On success, ``witnesses`` holds one certifying object per ground element
-    (primal checks) or per member (dual checks).  On failure, ``failure``
-    holds the counterexample: an element, a member index, or a pair.
+    (primal checks) or per member (dual checks); a completely-separating one
+    is a row of (member index, mask) pairs.  On failure, ``failure`` holds
+    the counterexample: an element, a member index, or a pair.
     """
 
     __slots__ = ("prop", "ok", "k", "witnesses", "failure")
@@ -103,19 +106,26 @@ def is_separating(f: Family) -> Certificate:
 def is_completely_separating(f: Family) -> Certificate:
     """For every ordered pair (v, v2), some member contains v but not v2.
 
-    Witnesses store, per element v, the lowest distinguishing member index
-    against each other element; failure is the first bad ordered pair.
+    The witness of element v is a row of ``(i, mask)`` pairs in ascending i,
+    where the mask holds each v2 whose lowest member with v but not v2 is i;
+    failure is the first bad ordered pair.
     """
-    sigs = signatures(f)
-    wit = []
+    sigs, ws, wit = signatures(f), f.members, []
+    ground = (1 << f.ground_size) - 1
     for v, sv in enumerate(sigs):
-        # v drops out of its own row, as sv & ~sv is 0; any other v2 that does fails
-        # d ^ d - 1 keeps the lowest set bit of d and all below it; unlike
-        # d & -d it builds no negative int, which CPython handles slowly
-        row = [(v2, (d ^ d - 1).bit_length() - 1) for v2, s in enumerate(sigs) if (d := sv & ~s)]
-        if len(row) < len(sigs) - 1:
-            v2 = next(v2 for v2, s in enumerate(sigs) if not sv & ~s and v2 != v)
-            return Certificate(COMPLETELY_SEPARATING, False, failure=(v, v2))
+        # the members holding v, lowest first, take from rest the elements they
+        # miss.  d ^ d - 1 keeps the lowest set bit of d and all below it;
+        # unlike d & -d it builds no negative int, which CPython handles slowly
+        rest, row = ground ^ 1 << v, []
+        while rest and sv:
+            i = (sv ^ sv - 1).bit_length() - 1
+            sv &= sv - 1
+            if out := rest & ws[i] ^ rest:
+                row.append((i, out))
+                rest ^= out
+        if rest:
+            return Certificate(COMPLETELY_SEPARATING, False,
+                               failure=(v, (rest ^ rest - 1).bit_length() - 1))
         wit.append(tuple(row))
     return Certificate(COMPLETELY_SEPARATING, True, witnesses=tuple(wit))
 
@@ -340,22 +350,24 @@ def pair_family_valid(pairs, m: int, k: int):
     return True
 
 
-def _separator_witnesses_hold(d: Family, k: int, witnesses) -> bool:
-    """True iff, for each pair (i, witness), the witness's separator is a set
-    of at most k ground elements and member i's key, its intersection with
-    the separator, is the witness's key and that of no other member.  The
-    witnesses are grouped by separator, so each separator's keys are read
-    once however many members it witnesses."""
-    owners: dict[int, list] = {}
+def _separator_witnesses_hold(cols, size: int, k: int, witnesses) -> bool:
+    """True iff, for each pair (i, witness), the witness's separator S is a
+    set of at most k of the ``len(cols)`` ground elements, its key lies in
+    S, and member i alone of the ``size`` members meets S in the key.  Those
+    members are the AND over e in S of ``cols[e]``, the mask of the members
+    holding e, for e in the key and of its complement otherwise."""
+    everyone = (1 << size) - 1
     for i, wit in witnesses:
-        owners.setdefault(wit.separator, []).append((i, wit.key))
-    for S, group in owners.items():
-        if S < 0 or S >> d.ground_size or S.bit_count() > k:
+        S, key = wit.separator, wit.key
+        if S < 0 or S >> len(cols) or S.bit_count() > k or key & ~S:
             return False
-        keys = [w & S for w in d.members]
-        for i, key in group:
-            if keys[i] != key or keys.count(key) != 1:
-                return False
+        agree = everyone
+        while S:
+            e = (S ^ S - 1).bit_length() - 1
+            S &= S - 1
+            agree &= cols[e] if key >> e & 1 else ~cols[e]
+        if agree != 1 << i:
+            return False
     return True
 
 
@@ -363,18 +375,20 @@ def check_separator_witness(d: Family, i: int, witness: SeparatorWitness, k: int
     """Independent full-scan re-validation of one separator witness."""
     _require_member(d, i)
     _require_k(k)
-    return _separator_witnesses_hold(d, k, [(i, witness)])
+    return _separator_witnesses_hold(signatures(d), len(d.members), k, [(i, witness)])
 
 
 def recheck_certificate(f: Family, cert: Certificate) -> bool:
     """Re-validate every witness of a successful certificate by full scan.
 
     Each stored witness is checked against the whole family from the
-    definitions, reading no separator table and relying on no search order,
-    so the recheck stays independent of the oracles.  Only the work is
-    shared: a completely-separating row is checked once per member index it
-    names, and separator witnesses once per distinct separator.  A
-    certificate whose ``k`` is not an int >= 1 fails.
+    definitions, reading no separator table, building no dual and relying
+    on no search order, so the recheck stays independent of the oracles.
+    Each ``(i, mask)`` of a completely-separating row needs member i to hold
+    v and miss the mask, and the masks to cover the ground but v.  Separator
+    witnesses are read off member columns: ``signatures(f)`` for a nice
+    certificate, f's own members for a hyperseparating one.  A certificate
+    whose ``k`` is not an int >= 1 fails.
     """
     if not cert.ok:
         raise ValueError("can only recheck a successful certificate")
@@ -385,32 +399,23 @@ def recheck_certificate(f: Family, cert: Certificate) -> bool:
             and list(cert.witnesses) == sigs
             and len(set(sigs)) == len(sigs)
         )
-    # member indices and elements are range-checked before use: Python would
-    # wrap a negative index and raise on one past the end
+    # member indices are range-checked before use: Python would wrap a
+    # negative index and raise on one past the end
     members, m = range(len(f.members)), f.ground_size
     if cert.prop == COMPLETELY_SEPARATING:
         if len(cert.witnesses) != m:
             return False
-        bit = {v2: 1 << v2 for v2 in range(m)}
-        full = (1 << m) - 1
+        ws, ground = f.members, (1 << m) - 1
         for v, row in enumerate(cert.witnesses):
-            # per member index, the elements it must leave out; a v2 outside
-            # the ground raises KeyError and forces no shift
-            outs: dict[int, int] = {}
-            try:
-                for v2, idx in row:
-                    outs[idx] = outs.get(idx, 0) | bit[v2]
-            except KeyError:
-                return False
             union = 0
-            for idx, out in outs.items():
+            for idx, out in row:
                 if idx not in members:
                     return False
-                w = f.members[idx]
+                w = ws[idx]
                 if not w >> v & 1 or w & out:
                     return False
                 union |= out
-            if union != full ^ 1 << v:
+            if union != ground ^ 1 << v:  # so also for a negative mask or an outside bit
                 return False
         return True
     if cert.prop not in (HYPERCOMPLETELY, NICE, HYPERSEPARATING):
@@ -432,8 +437,11 @@ def recheck_certificate(f: Family, cert: Certificate) -> bool:
             if acc != 1 << v:
                 return False
         return True
-    # a hyperseparating certificate is the nice certificate of the dual
-    d = f if cert.prop == NICE else dual(f)
-    return len(cert.witnesses) == len(d.members) and _separator_witnesses_hold(
-        d, k, enumerate(cert.witnesses)
+    if cert.prop == NICE:
+        cols, size = signatures(f), len(f.members)
+    else:  # the nice certificate of the dual, whose columns are f's members
+        _check_ground(len(f.members))  # the dual's ground
+        cols, size = f.members, m
+    return len(cert.witnesses) == size and _separator_witnesses_hold(
+        cols, size, k, enumerate(cert.witnesses)
     )

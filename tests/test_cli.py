@@ -355,7 +355,8 @@ def _completely_report(f):
 ], ids=["spencer-3", "spencer-7", "spencer-20", "mixed-indices", "binary-4", "late-failure"])
 def test_verify_completely_report_pinned(capsys, monkeypatch, make, first):
     f = make()
-    code, out, err = run(capsys, ["verify", "--property", "completely"], emit_family(f), monkeypatch)
+    argv = ["verify", "--property", "completely"]
+    code, out, err = run(capsys, argv, emit_family(f), monkeypatch)
     assert (code, err) == (EXIT_OK if first.startswith("PASS") else EXIT_FAIL, "")
     assert out.splitlines()[0] == first
     assert out == _completely_report(f)

@@ -5,6 +5,7 @@ import signal
 import statistics
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,17 +88,18 @@ def test_completely_separating_spencer():
     lambda m: st.lists(st.integers(0, (1 << m) - 1), max_size=6).map(lambda ws: Family(m, tuple(ws)))))
 def test_completely_separating_by_definition(f):
     # per ordered pair (v, v2): the lowest member holding v and not v2, and
-    # the first pair in (v, v2) order that has none fails
+    # the first pair in (v, v2) order that has none fails; a row groups the
+    # v2 of each member index into one mask, in ascending index
     rows, failure = [], None
     for v in range(f.ground_size):
-        row = []
+        masks = {}
         for v2 in range(f.ground_size):
             held = [i for i, w in enumerate(f.members) if w >> v & 1 and not w >> v2 & 1]
             if v2 != v and not held:
                 failure = failure or (v, v2)
             if v2 != v and held:
-                row.append((v2, held[0]))
-        rows.append(tuple(row))
+                masks[held[0]] = masks.get(held[0], 0) | 1 << v2
+        rows.append(tuple(sorted(masks.items())))
     cert = is_completely_separating(f)
     assert (cert.ok, cert.failure) == (failure is None, failure)
     assert cert.witnesses == (tuple(rows) if failure is None else ())
@@ -685,7 +687,7 @@ def test_certificate_soundness_on_random_passes():
 
 # Every check of a certificate's rows, each failed by one edit of a good one.
 _TAMPER_FAMILY = new_family(3, [[0], [1], [2], [0, 1], [0, 2]])
-_CS_ROWS = (((1, 0), (2, 0)), ((0, 1), (2, 1)), ((0, 2), (1, 2)))
+_CS_ROWS = (((0, 0b110),), ((1, 0b101),), ((2, 0b011),))
 _HCS_ROWS = ((0,), (1,), (2,))
 
 
@@ -693,22 +695,27 @@ _HCS_ROWS = ((0,), (1,), (2,))
     "prop, k, rows",
     [
         (verify.COMPLETELY_SEPARATING, None, _CS_ROWS[:2]),
-        (verify.COMPLETELY_SEPARATING, None, (((1, 2), (2, 0)),) + _CS_ROWS[1:]),
-        (verify.COMPLETELY_SEPARATING, None, (((1, 3), (2, 0)),) + _CS_ROWS[1:]),
-        (verify.COMPLETELY_SEPARATING, None, (((1, 0),),) + _CS_ROWS[1:]),
+        (verify.COMPLETELY_SEPARATING, None, (((0, 0b100), (2, 0b010)),) + _CS_ROWS[1:]),
+        (verify.COMPLETELY_SEPARATING, None, (((0, 0b100), (3, 0b010)),) + _CS_ROWS[1:]),
+        (verify.COMPLETELY_SEPARATING, None, (((0, 0b010),),) + _CS_ROWS[1:]),
         (verify.HYPERCOMPLETELY, 2, _HCS_ROWS[:2]),
         (verify.HYPERCOMPLETELY, 2, ((0, 0),) + _HCS_ROWS[1:]),
         (verify.HYPERCOMPLETELY, 2, ((0, 3, 4),) + _HCS_ROWS[1:]),
         (verify.HYPERCOMPLETELY, 2, ((3,),) + _HCS_ROWS[1:]),
-        (verify.COMPLETELY_SEPARATING, None, (((1, 9), (2, 0)),) + _CS_ROWS[1:]),
-        (verify.COMPLETELY_SEPARATING, None, (((-1, 0), (2, 0)),) + _CS_ROWS[1:]),
+        (verify.COMPLETELY_SEPARATING, None, (((0, 0b100), (5, 0b010)),) + _CS_ROWS[1:]),
+        # -1 would wrap to member 4, {0, 2}, which holds 0 and misses 1
+        (verify.COMPLETELY_SEPARATING, None, (((0, 0b100), (-1, 0b010)),) + _CS_ROWS[1:]),
         (verify.HYPERCOMPLETELY, 2, ((-5,),) + _HCS_ROWS[1:]),
         (verify.HYPERCOMPLETELY, 2, ((9,),) + _HCS_ROWS[1:]),
+        # member 0, {0}, misses element 3 and every bit but 0 of ~1 as well
+        (verify.COMPLETELY_SEPARATING, None, (((0, 0b1110),),) + _CS_ROWS[1:]),
+        (verify.COMPLETELY_SEPARATING, None, (((0, ~1),),) + _CS_ROWS[1:]),
     ],
     ids=[
         "cs-row-count", "cs-member-lacks-v", "cs-member-holds-v2", "cs-missing-v2",
         "hcs-row-count", "hcs-duplicate-index", "hcs-too-many", "hcs-wrong-intersection",
-        "cs-index-past-end", "cs-negative-v2", "hcs-negative-index", "hcs-index-past-end",
+        "cs-index-past-end", "cs-negative-index", "hcs-negative-index", "hcs-index-past-end",
+        "cs-bit-outside-ground", "cs-negative-mask",
     ],
 )
 def test_recheck_rejects_tampered_certificates(prop, k, rows):
@@ -751,21 +758,58 @@ def test_recheck_and_witness_check_refuse_k_0():
     assert not recheck_certificate(f, verify.Certificate(verify.NICE, True, k=0, witnesses=(wit,)))
 
 
+def test_witness_check_refuses_a_key_outside_its_separator():
+    # member 0 alone holds element 0, so {0} separates it, but with the key
+    # {0}: the constructor refuses a key outside the separator, a hand-made
+    # witness object does not
+    d = new_family(2, [[0, 1], [1]])
+    good, bad = SeparatorWitness(0b01, 0b01), SimpleNamespace(separator=0b01, key=0b11)
+    assert check_separator_witness(d, 0, good, 1)
+    assert not check_separator_witness(d, 0, bad, 1)
+    for wit, want in ((good, True), (bad, False)):
+        cert = verify.Certificate(verify.NICE, True, k=1, witnesses=(wit, SeparatorWitness(1, 0)))
+        assert recheck_certificate(d, cert) is want
+
+
+def test_recheck_builds_no_dual_and_reads_no_table(monkeypatch):
+    spencer, hs2 = spencer_completely_separating(20), hyperseparating_minimal_2(30)
+    nice = nice_small_m(4)
+    certs = [(spencer, is_completely_separating(spencer)), (hs2, is_k_hyperseparating(hs2, 2)),
+             (nice, is_nice(nice, 2))]
+
+    def refuse(*args):
+        raise AssertionError("the recheck built a dual or drew separator sets")
+
+    for name in ("dual", "separator_table", "find_separator", "words_of_size"):
+        monkeypatch.setattr(verify, name, refuse)
+    for f, cert in certs:
+        assert recheck_certificate(f, cert), cert.prop
+    assert check_separator_witness(nice, 3, certs[2][1].witnesses[3], 2)
+    # a primal of more than 64 members has no dual ground to check a witness on
+    wide = verify.Certificate(verify.HYPERSEPARATING, True, k=2, witnesses=())
+    with pytest.raises(CapacityError, match="ground_size 65 exceeds the 64-element capacity"):
+        recheck_certificate(Family(2, (0b01,) * 65), wide)
+
+
 def _reference_recheck(f, prop, k, rows):
     """The certificate checks written per pair and per witness from the
-    definitions, on member sets rather than words."""
+    definitions, on member sets rather than words.  A completely-separating
+    row is expanded to its (v2, index) pairs first."""
     sets = [{t for t in range(f.ground_size) if w >> t & 1} for w in f.members]
     if prop == verify.COMPLETELY_SEPARATING:
         if len(rows) != f.ground_size:
             return False
         for v, row in enumerate(rows):
             named = set()
-            for v2, idx in row:
-                if not (0 <= idx < len(sets) and 0 <= v2 < f.ground_size):
+            for idx, mask in row:
+                if mask < 0:  # infinitely many elements
                     return False
-                if v not in sets[idx] or v2 in sets[idx]:
-                    return False
-                named.add(v2)
+                for v2 in (t for t in range(mask.bit_length()) if mask >> t & 1):
+                    if not (0 <= idx < len(sets) and v2 < f.ground_size):
+                        return False
+                    if v not in sets[idx] or v2 in sets[idx]:
+                        return False
+                    named.add(v2)
             if named != set(range(f.ground_size)) - {v}:
                 return False
         return True
@@ -787,15 +831,26 @@ def _reference_recheck(f, prop, k, rows):
 
 
 def _row_edits(rows, n, m):
-    """Every certificate one entry away from a completely-separating one."""
+    """Every certificate one edit away from a completely-separating one: a
+    v2 bit moved to another member index or dropped, a bit of another
+    element, of v or outside the ground added to an entry, or an entry's
+    index made bad."""
     for v, row in enumerate(rows):
-        for j, (v2, idx) in enumerate(row):
-            swaps = [(v2, i) for i in range(n) if i != idx]
-            swaps += [(u, idx) for u in range(m) if u != v2]
-            swaps += [(bad, idx) for bad in (-1, 10**9)] + [(v2, bad) for bad in (-1, 10**9)]
-            new_rows = [row[:j] + (s,) + row[j + 1:] for s in swaps]
-            new_rows += [row[:j] + row[j + 1:], row[:j + 1] + row[j:]]
-            for new in new_rows:
+        for j, (idx, mask) in enumerate(row):
+            news = []
+            for v2 in (t for t in range(m) if mask >> t & 1):
+                for dest in [i for i in range(n) if i != idx] + [None]:  # None drops the bit
+                    moved = dict(row)
+                    moved[idx] ^= 1 << v2
+                    if not moved[idx]:
+                        del moved[idx]
+                    if dest is not None:
+                        moved[dest] = moved.get(dest, 0) | 1 << v2
+                    news.append(tuple(sorted(moved.items())))
+            news += [row[:j] + ((idx, mask | 1 << u),) + row[j + 1:]
+                     for u in range(m + 1) if not mask >> u & 1]
+            news += [row[:j] + ((bad, mask),) + row[j + 1:] for bad in (-1, n, 10**9)]
+            for new in news:
                 yield rows[:v] + (new,) + rows[v + 1:]
 
 
@@ -851,23 +906,38 @@ def test_recheck_agrees_with_the_per_pair_reference(f, k):
         signal.signal(signal.SIGALRM, old)
 
 
-# Measured as below on spencer(60) (2-vCPU host, CPython 3.11): the recheck
-# costs 0.63-0.65 of its oracle in full-suite runs, against 1.1-1.7 when it
-# tested two bits and added to a set per ordered pair.  A recheck that falls
-# back to per-pair work shows here.
-def test_spencer_recheck_costs_less_than_its_oracle():
-    f = spencer_completely_separating(60)
-    cert = is_completely_separating(f)
-    oracle, recheck = [], []
+def _recheck_cost_ratio(f, oracle):
+    """The median recheck time of f's certificate over the median time of
+    the oracle that made it, from 15 interleaved calls of each."""
+    cert = oracle(f)
+    oracle_s, recheck_s = [], []
     for _ in range(15):
         t0 = time.perf_counter()
-        is_completely_separating(f)
+        oracle(f)
         t1 = time.perf_counter()
         assert recheck_certificate(f, cert)
-        recheck.append(time.perf_counter() - t1)
-        oracle.append(t1 - t0)
-    ratio = statistics.median(recheck) / statistics.median(oracle)
+        recheck_s.append(time.perf_counter() - t1)
+        oracle_s.append(t1 - t0)
+    return statistics.median(recheck_s) / statistics.median(oracle_s)
+
+
+# Measured as below on spencer(60) (2-vCPU host, CPython 3.11): with one
+# (member index, mask) pair per row entry, the recheck costs 0.59-0.62 of
+# its oracle, and 0.63-0.68 at per-pair rows folded into masks by the
+# recheck; it was 1.1-1.7 when it tested two bits and added to a set per
+# ordered pair.  A recheck that falls back to per-pair work shows here.
+def test_spencer_recheck_costs_less_than_its_oracle():
+    ratio = _recheck_cost_ratio(spencer_completely_separating(60), is_completely_separating)
     assert ratio < 0.8, f"spencer(60): recheck costs {ratio:.2f} of its oracle"
+
+
+# Measured as above on hs2(60): the recheck reads each witness off the
+# primal's members as columns and costs 0.08-0.09 of its oracle, against
+# 0.45-0.55 when it built the dual and took every member's key once per
+# distinct separator.  A recheck that goes back to the dual shows here.
+def test_hs2_recheck_costs_less_than_its_oracle():
+    ratio = _recheck_cost_ratio(hyperseparating_minimal_2(60), lambda f: is_k_hyperseparating(f, 2))
+    assert ratio < 0.3, f"hs2(60): recheck costs {ratio:.2f} of its oracle"
 
 
 def test_empty_family_conventions():
