@@ -833,8 +833,8 @@ def _reference_recheck(f, prop, k, rows):
 def _row_edits(rows, n, m):
     """Every certificate one edit away from a completely-separating one: a
     v2 bit moved to another member index or dropped, a bit of another
-    element, of v or outside the ground added to an entry, or an entry's
-    index made bad."""
+    element, of v or outside the ground added to an entry, an entry's
+    index made bad, or an entry repeated."""
     for v, row in enumerate(rows):
         for j, (idx, mask) in enumerate(row):
             news = []
@@ -850,6 +850,7 @@ def _row_edits(rows, n, m):
             news += [row[:j] + ((idx, mask | 1 << u),) + row[j + 1:]
                      for u in range(m + 1) if not mask >> u & 1]
             news += [row[:j] + ((bad, mask),) + row[j + 1:] for bad in (-1, n, 10**9)]
+            news.append(row[:j + 1] + row[j:])
             for new in news:
                 yield rows[:v] + (new,) + rows[v + 1:]
 
