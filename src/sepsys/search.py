@@ -24,10 +24,10 @@ their own (a pair outside ``used``) and leave every member one.
 Witnesses only die as members are added, so a word that fails this test
 fails it in every descendant; it is dropped when the child's candidates
 are built, and the cardinality bound ``size + candidates`` counts only
-addable words.  The witnesses come from ``verify.separator_table``, which
-owns the table that ``is_nice`` reads too.
+addable words.
 
-Each model has its own pair table.  Nice families hold every pair.  A
+Each model has its own pair table.  Nice families hold every pair, and
+their table is ``verify.pair_table``, the one ``is_nice`` reads too.  A
 member that must own a subset T of itself, contained in no other member,
 has only the pairs (T, T): a word holds (T, T) exactly when T <= w.
 
@@ -118,7 +118,7 @@ from .core import (
     is_canonical,
 )
 from .core import Value, _check_ground, _require_k, _require_n, _set
-from .verify import separator_table, words_of_size
+from .verify import columns, pair_table, separator_table, words_of_size
 
 # A child prefix of d words is tested for canonicity when d <= SYMMETRY_DEPTH,
 # or when d <= DEEP_SYMMETRY_DEPTH and at least DEEP_MIN_LEFT[m] later words
@@ -203,45 +203,27 @@ def _witness_tables(m: int, k: int, owned: bool):
     the byte tables of both masks: ``(pairs, holders, kills, pair_bytes,
     holder_bytes)``.
 
-    Witnesses are the sets of at most k elements of
-    ``verify.separator_table``.  For separators a pair is a witness S with a
-    key, a subset of S; each witness owns a run of 2^|S| bits, in table
-    order, one per key, the key S first.  ``pairs[w]`` holds the pair
-    (S, w & S) of every witness S, so two words share the bit of S exactly
-    when their keys on S are equal.  For owned subsets the pairs are only
-    the (T, T), one bit per witness T in table order, and ``pairs[w]``
-    holds those with T <= w.  Either way a member's witnesses are the pairs
-    it holds alone, and ``holders[p]`` is the mask of the words holding
-    pair p.  ``kills`` is the memo of ``_DFS.killers``, kept with the table
-    it reads.  ``pair_bytes[j][b]`` is the OR of ``pairs`` over the words
-    set in byte b of a word mask at byte j, and ``holder_bytes[j][b]`` the
-    OR of ``holders`` over the pairs set in byte b of a pair mask at byte j,
-    so a mask's OR is one lookup per byte.  ``_DFS`` asks for k = min(k, m),
-    at least 1 as the separator table needs, so every k >= m shares one
-    table and memo.
+    Witnesses are the sets of at most k elements in (size, value) order.
+    For separators ``pairs`` is ``verify.pair_table(m, k)``: ``pairs[w]``
+    holds the pair (S, w & S) of every witness S.  For owned subsets the
+    pairs are only the (T, T), one bit per witness T, and ``pairs[w]`` holds
+    those with T <= w.  Either way a member's witnesses are the pairs it
+    holds alone, and ``holders[p]``, the transpose, is the mask of the words
+    holding pair p.  ``kills`` is the memo of ``_DFS.killers``, kept with
+    the table it reads.  ``pair_bytes[j][b]`` is the OR of ``pairs`` over
+    the words set in byte b of a word mask at byte j, and
+    ``holder_bytes[j][b]`` the OR of ``holders`` over the pairs set in byte
+    b of a pair mask at byte j, so a mask's OR is one lookup per byte.
+    ``_DFS`` asks for k = min(k, m), at least 1 as the tables need, so every
+    k >= m shares one table and memo.
     """
-    seps = separator_table(m, k)[0]
-    words = range(1 << m)
-    pairs = [0] * len(words)
-    holders = []
-    for S in seps:
-        # the bit of each pair (S, key): after the runs of earlier
-        # witnesses, at the key's rank among the subsets of S; an owned
-        # table has only the key S
-        bit = {}
-        key = S
-        while True:
-            bit[key] = len(holders) + len(bit)
-            if owned or not key:
-                break
-            key = (key - 1) & S
-        holders.extend([0] * len(bit))
-        for w in words:
-            p = bit.get(w & S)
-            if p is not None:
-                pairs[w] |= 1 << p
-                holders[p] |= 1 << w
-    pairs, holders = tuple(pairs), tuple(holders)
+    if owned:  # T <= w exactly when T misses the rest of the ground
+        seps, meet = separator_table(m, k)
+        full = (1 << len(seps)) - 1
+        pairs = tuple(full ^ meet[(1 << m) - 1 ^ w] for w in range(1 << m))
+    else:
+        seps, pairs = pair_table(m, k)
+    holders = columns(pairs, len(seps))
     return pairs, holders, {}, _byte_tables(pairs), _byte_tables(holders)
 
 

@@ -7,12 +7,14 @@ bit-exactly.  ``recheck_certificate`` re-validates witnesses from the
 definitions: one word test per (member, mask) pair of a completely-separating
 row, and one AND of member columns per separator witness, with no dual built.
 
-This module owns the separator table, ``separator_table(m, k)``: the sets
-of at most k elements in that order and, for every word d, the mask of
-those that meet d.  ``is_nice`` reads it on grounds up to
-SEPARATOR_TABLE_MAX_GROUND and calls ``find_separator``, a lazy scan of
-the sets that reads no table, above it; the search builds its witness
-table from it.
+This module owns two tables of the sets of at most k elements in that
+order.  ``separator_table(m, k)`` holds, for every word d, the mask of the
+sets that meet d; ``pair_table(m, k)`` holds, for every word w, one bit per
+set S for w's key w & S, so two words share the bit of S exactly when their
+keys on S are equal.  ``is_nice`` reads the pair table where it fits, the
+separator table elsewhere up to SEPARATOR_TABLE_MAX_GROUND, and above it
+calls ``find_separator``, a lazy scan that reads no table.  The search
+builds its witness tables from both.
 """
 
 from __future__ import annotations
@@ -169,13 +171,15 @@ def _least_subfamily(ws, holders, k, target):
     return None
 
 
-# Measured on one core (CPython 3.11): at m = 12 the k = 2 table builds in
-# about 0.6 ms and the k = 12 one (2 MB) in about 5 ms; on the hs2 duals
-# (grounds 6-12, up to 60 members) the table path is 1.6-1.8x faster than
-# the scan with a cold build and about 4x with a warm one.  Each further
-# element doubles the words and, for k = m, quadruples the table's time and
-# memory, so bigger grounds keep the lazy scan.
+# Measured on one core (CPython 3.11) at m = 12: the k = 2 separator table
+# builds in about 0.6 ms, the k = 12 one (2 MB) in about 5 ms, and the
+# k = 2 and 3 pair tables in about 1-2 and 3-4 ms.  Each further element
+# doubles the words and, for k = m, quadruples a table's time and memory, so
+# bigger grounds keep the lazy scan.  A pair table of at most 2^24 bits, the
+# size of that k = 12 table, covers every k for m <= 9, k <= 5 at m = 10,
+# k <= 4 at m = 11 and k <= 3 at m = 12.
 SEPARATOR_TABLE_MAX_GROUND = 12
+PAIR_TABLE_MAX_BITS = 1 << 24
 
 
 def separator_table(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -198,17 +202,64 @@ def separator_table(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _separator_table(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    seps = tuple(chain.from_iterable(words_of_size(m, size) for size in range(k + 1)))
-    # holds[v]: the sets holding element v, read off column v of their
-    # binary rows with seps[0] in the lowest bit
-    rows = [format(S, f"0{m}b") for S in reversed(seps)]
-    holds = [int("".join(col), 2) for col in zip(*rows)][::-1]
+    seps = _small_sets(m, k)
+    holds, meet = columns(seps, m), [0] * (1 << m)  # holds[v]: the sets holding v
     # a word meets S iff its lowest element is in S or the rest of it meets S
-    meet = [0] * (1 << m)
     for d in range(1, 1 << m):
         low = d & -d
         meet[d] = meet[d ^ low] | holds[low.bit_length() - 1]
     return seps, tuple(meet)
+
+
+def _small_sets(m: int, k: int) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(words_of_size(m, size) for size in range(k + 1)))
+
+
+def columns(rows, width: int) -> tuple[int, ...]:
+    """The transpose of a bit matrix: bit j of entry i is bit i of ``rows[j]``."""
+    text = [format(row, f"0{width}b") for row in reversed(rows)]
+    return tuple(int("".join(col), 2) for col in zip(*text))[::-1]
+
+
+def pair_table(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The witness-pair table of the m-ground for size <= k: ``(owner, pairs)``.
+
+    Each set S of at most k elements, in (size, value) order, owns a run of
+    2^|S| bits, one per key, a subset of S: the key S first, then the rest
+    in descending order.  ``pairs[w]`` holds the bit of (S, w & S) for every
+    S, and ``owner[b]`` is the S of bit b.  Cached per (m, min(k, m)); a table
+    past SEPARATOR_TABLE_MAX_GROUND or PAIR_TABLE_MAX_BITS raises CapacityError.
+    """
+    _require_k(k)
+    if not 0 <= m <= SEPARATOR_TABLE_MAX_GROUND or (table := _pair_table(m, min(k, m))) is None:
+        raise CapacityError(f"no pair table for m = {m}, k = {k} within the caps")
+    return table
+
+
+@lru_cache(maxsize=None)
+def _pair_table(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    seps = _small_sets(m, k)
+    if sum(1 << S.bit_count() for S in seps) << m > PAIR_TABLE_MAX_BITS:
+        return None
+    # moves[e][t]: the runs of the sets whose t-th lowest element is e, from
+    # t = 0; adding e to a word moves its bit in each such run 2^t down.  The
+    # words with lowest element e start from those without e, so e runs down.
+    owner, empty, moves = [], 0, [[0] * min(k, e + 1) for e in range(m)]
+    for S in seps:
+        width = 1 << S.bit_count()
+        run = (1 << width) - 1 << len(owner)
+        owner += [S] * width
+        empty |= 1 << len(owner) - 1  # the key 0 comes last
+        for t, e in enumerate(e for e in range(m) if S >> e & 1):
+            moves[e][t] |= run
+    pairs = [empty] * (1 << m)
+    for e in reversed(range(m)):
+        block = pairs[::2 << e]
+        for t, run in enumerate(moves[e]):
+            shift = 1 << t
+            block = [p ^ (x := p & run) ^ x >> shift for p in block]
+        pairs[1 << e::2 << e] = block
+    return tuple(owner), tuple(pairs)
 
 
 def find_separator(d: Family, i: int, k: int) -> SeparatorWitness | None:
@@ -236,39 +287,46 @@ def find_separator(d: Family, i: int, k: int) -> SeparatorWitness | None:
 def is_nice(d: Family, k: int) -> Certificate:
     """Every member of the dual family has a separator of size <= k.
 
-    The witnesses and the failing member are those of find_separator.  On
-    grounds up to SEPARATOR_TABLE_MAX_GROUND they are read off the separator
-    table: member i's separators are the AND of ``meet[ws[i] ^ w]`` over the
-    other members, and its witness is the lowest bit of that mask.  Above
-    the cap each member is scanned with find_separator.  A member with bits
-    outside the ground raises ValueError."""
+    The witnesses and the failing member are those of find_separator.  Where
+    the pair table fits, one pass gathers ``twice``, the pairs two or more
+    members hold, and member i's separators are the pairs of ``ws[i]``
+    outside it; elsewhere up to SEPARATOR_TABLE_MAX_GROUND, the AND of
+    ``meet[ws[i] ^ w]`` over the other members.  Above it each member is
+    scanned with find_separator.  Bits outside the ground raise ValueError."""
     _require_k(k)
     ws, m = d.members, d.ground_size
     _check_words(m, ws)
+    firsts = []
     if m > SEPARATOR_TABLE_MAX_GROUND:
-        wits = []
         for i in range(len(ws)):
-            wit = find_separator(d, i, k)
-            if wit is None:
+            if (wit := find_separator(d, i, k)) is None:
                 return Certificate(NICE, False, k=k, failure=i)
-            wits.append(wit)
-        return Certificate(NICE, True, k=k, witnesses=tuple(wits))
-    seps, meet = separator_table(m, k)
-    full = (1 << len(seps)) - 1
-    masks = []
-    for i, wi in enumerate(ws):
-        alive = full
-        for j, w in enumerate(ws):
-            if j != i:
-                alive &= meet[wi ^ w]  # a duplicate of wi reads meet[0] = 0
-                if not alive:
-                    return Certificate(NICE, False, k=k, failure=i)
-        masks.append(alive)
-    wits = []
-    for wi, alive in zip(ws, masks):
-        S = seps[(alive & -alive).bit_length() - 1]
-        wits.append(SeparatorWitness(S, wi & S))
-    return Certificate(NICE, True, k=k, witnesses=tuple(wits))
+            firsts.append(wit.separator)
+    elif (table := _pair_table(m, min(k, m))) is None:
+        seps, meet = separator_table(m, k)
+        for i, wi in enumerate(ws):
+            alive = (1 << len(seps)) - 1
+            for j, w in enumerate(ws):
+                if j != i:
+                    alive &= meet[wi ^ w]  # a duplicate of wi reads meet[0] = 0
+                    if not alive:
+                        return Certificate(NICE, False, k=k, failure=i)
+            firsts.append(seps[(alive & -alive).bit_length() - 1])
+    else:
+        owner, pairs = table
+        used = twice = 0
+        for w in ws:
+            p = pairs[w]
+            twice |= used & p
+            used |= p
+        once = ~twice  # a duplicate of a member holds each of its pairs twice
+        for i, wi in enumerate(ws):
+            alive = pairs[wi] & once
+            if not alive:
+                return Certificate(NICE, False, k=k, failure=i)
+            firsts.append(owner[(alive ^ alive - 1).bit_length() - 1])
+    return Certificate(NICE, True, k=k,
+                       witnesses=tuple(SeparatorWitness(S, wi & S) for wi, S in zip(ws, firsts)))
 
 
 def owns_unique_subsets(d: Family, k: int) -> bool:
@@ -382,7 +440,7 @@ def recheck_certificate(f: Family, cert: Certificate) -> bool:
     """Re-validate every witness of a successful certificate by full scan.
 
     Each stored witness is checked against the whole family from the
-    definitions, reading no separator table, building no dual and relying
+    definitions, reading neither table, building no dual and relying
     on no search order, so the recheck stays independent of the oracles.
     Each ``(i, mask)`` of a completely-separating row needs member i to hold
     v and miss the mask, and the masks to cover the ground but v.  Separator

@@ -101,6 +101,7 @@ _REJECTED = [
     ("k", "owns_unique_subsets", (_FAM, 0)),
     ("k", "pair_family_valid", ([], 2, 0)),
     ("k", "separator_table", (3, 0)),
+    ("k", "pair_table", (3, 0)),
     ("k", "max_nice_size", (3, 0)),
     ("k", "exists_nice_of_size", (3, 0, 2)),
     ("k", "min_m_hyperseparating", (5, 0, 4)),

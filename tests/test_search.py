@@ -32,7 +32,7 @@ from sepsys.core import (
     switch_set,
 )
 from sepsys.bounds import pair_family_size
-from sepsys.verify import separator_table
+from sepsys.verify import pair_table, separator_table
 from sepsys.search import (
     DEEP_SYMMETRY_DEPTH,
     SYMMETRY_DEPTH,
@@ -446,6 +446,8 @@ def test_owned_pairs_are_the_subsets_and_holders_the_transpose():
         seps = separator_table(m, k)[0]
         for owned in (False, True):
             pairs, holders = search._witness_tables(m, k, owned)[:2]
+            if not owned:  # the separator model reads the table is_nice reads
+                assert pairs is pair_table(m, k)[1]
             if owned:
                 assert len(holders) == len(seps)
                 for w in range(1 << m):
