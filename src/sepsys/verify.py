@@ -324,7 +324,7 @@ def is_nice(d: Family, k: int) -> Certificate:
             alive = pairs[wi] & once
             if not alive:
                 return Certificate(NICE, False, k=k, failure=i)
-            firsts.append(owner[(alive ^ alive - 1).bit_length() - 1])
+            firsts.append(owner[(alive & -alive).bit_length() - 1])
     return Certificate(NICE, True, k=k,
                        witnesses=tuple(SeparatorWitness(S, wi & S) for wi, S in zip(ws, firsts)))
 

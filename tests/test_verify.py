@@ -367,16 +367,17 @@ def test_pair_table_range_and_size_cap():
     assert verify.pair_table(4, 9) is verify.pair_table(4, 4)
 
 
-def _certificates(families):
+def _certificates(families, unscanned=()):
     """is_nice, every find_separator and is_k_hyperseparating of each
-    (family, k) pair, for comparing the table path with the scan.  Only
-    families of at most 16 members are tried as primals: a larger dual
-    ground is scanned, over up to C(64, <= k) sets."""
+    (family, k) pair, for comparing the table path with the scan.  The
+    families in ``unscanned`` are not tried as primals (None in their
+    place): their dual has duplicate members on 64 elements, and its scan
+    walks every set of at most k of them."""
     out = []
     for d, k in families:
         nice = is_nice(d, k)
         seps = [find_separator(d, i, k) for i in range(len(d.members))]
-        out.append((nice, seps, is_k_hyperseparating(d, k) if len(d.members) <= 16 else None))
+        out.append((nice, seps, None if d in unscanned else is_k_hyperseparating(d, k)))
     return out
 
 
@@ -405,8 +406,10 @@ def test_separator_table_path_equals_scan(monkeypatch):
             for used in (4, 6, m):
                 ws = [rng.randrange(1 << used) for _ in range(rng.randint(2, 12))]
                 cases += [(Family(m, tuple(ws)), k), (Family(m, tuple(ws + ws[:1])), k)]
-    cases += [(Family(cap, tuple(range(64))), 3), (Family(cap, tuple(range(64))), cap)]
-    table = _certificates(cases)
+    wide = Family(cap, tuple(range(64)))
+    cases += [(wide, 3), (wide, cap)]
+    table = _certificates(cases, unscanned=(wide,))
+    assert all(hs is not None for (d, _), (_, _, hs) in zip(cases, table) if d != wide)
     assert sum(bool(nice) for nice, _, _ in table) > 300
     assert sum(not nice and nice.failure > 0 for nice, _, _ in table) > 300
     assert not table[-2][0] and table[-1][0]  # 64 words on 6 coordinates need |S| = 6
@@ -415,9 +418,9 @@ def test_separator_table_path_equals_scan(monkeypatch):
     assert paths == {False, True}  # both the pair table and the meet table decide some
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_pair_table", lambda m, k: None)  # meet path up to the cap
-        assert _certificates(cases) == table
+        assert _certificates(cases, unscanned=(wide,)) == table
     monkeypatch.setattr(verify, "SEPARATOR_TABLE_MAX_GROUND", -1)  # every ground scans
-    assert _certificates(cases) == table
+    assert _certificates(cases, unscanned=(wide,)) == table
 
 
 def test_separator_table_not_built_above_cap(monkeypatch):
