@@ -66,6 +66,26 @@ pairs held twice and the child's reach, so the child is dropped when one of
 them keeps none.  The test is exact for the members and w in both witness
 models; the candidates' own witnesses are left to the child's nodes.
 
+A fourth bound caps each side of the top element, m - 1, by the paper's
+restriction step.  The members of a nice family that miss an element v are
+a nice family on the other m - 1 elements, and so are those that hold it,
+with v deleted: a separator S of member x, less v, still tells x apart from
+every member on its side, as they agree on v.  An owned subset T of x, less
+v, stays owned there: a member on x's side holding T - {v} holds T.  So a
+family below a child has at most G = g(m - 1, k) words on each side, and the
+child is dropped when min(G, x) + min(G, y) <= best, x and y being the
+words of its members, w and candidates without and with the top element.
+The words from 2^(m - 1) on hold it.  A child among them, after the other
+bounds, beats the best by its own words, so it is dropped exactly when the
+members below 2^(m - 1) and G words above cannot, and then so is every
+later child: the loop stops there.  G comes from the search itself:
+``_half_cap`` runs the DFS on the m - 1 ground, in the same witness model, k
+and group, the first time a DFS reaches SPLIT_MIN_NODES nodes, and caches
+it per process once proved.  Its nodes are not counted, so node counts are
+the same cold and warm, and a search that ends sooner never pays for it.
+An unreduced search reads an unreduced G: it cross-checks the symmetry
+reduction, so no canonical-prefix test may decide any of its cuts.
+
 The bounds are tested in the parent's candidate loop, before a child is
 expanded (Carraghan & Pardalos 1990), and the pair count before its
 canonical-prefix test: a child that cannot beat the best is never built,
@@ -93,11 +113,11 @@ for any number of workers.  A helper process, forked with the queue, runs
 roots from the back of it while this one runs them from the front.  It is
 forked at once when SPLIT_MIN_ROOTS or more roots are queued, and only
 where ``os.fork`` exists, at least two CPUs are usable and the process runs
-a single thread.  The unreduced searches queue hundreds of roots and fork.
-The symmetry-reduced ones queue a few (g(5,3) 3, exists(6,2,16) 6, g(6,2)
-7) and do not: ``core.is_canonical`` caches its results per process, so the
-helper's canonical-prefix tests die with it and this process repeats them
-in later searches.
+a single thread.  The unreduced searches queue over a hundred roots and
+fork.  The symmetry-reduced ones queue a few (g(5,3) 3, exists(6,2,16) 4,
+g(6,2) 6) and do not: ``core.is_canonical`` caches its results per
+process, so the helper's canonical-prefix tests die with it and this
+process repeats them in later searches.
 """
 
 from __future__ import annotations
@@ -105,6 +125,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from bisect import bisect_left
 from functools import lru_cache
 
 from . import bounds
@@ -137,13 +158,14 @@ DEEP_MIN_LEFT = (10, 10, 10, 10, 10, 10, 32)  # by m
 SEARCH_MAX_GROUND = 6  # the largest m any search accepts
 # Roots are families of SPLIT_DEPTH or SPLIT_DEPTH + 1 members; splitting
 # deeper would queue single-digit subtrees in the symmetric searches.  The
-# DFS queues roots once it has visited SPLIT_MIN_NODES nodes, and forks a
-# helper for SPLIT_MIN_ROOTS or more of them.  A fork, its join and the
-# copy-on-write faults that follow cost about 3.5 ms in a 15 MB process
-# (2-vCPU host, CPython 3.11), and 256 nodes take about 3.3 ms.  A gate of 4
-# roots forks for g(6,2), whose helper's canonical-prefix tests are then
-# lost to this process: repeated calls took about 47-55 ms against 22-24 ms
-# (medians of 15 per process), though the first, cold call was faster.
+# DFS reads g(m - 1, k) and starts queueing roots once it has visited
+# SPLIT_MIN_NODES nodes, and forks a helper for SPLIT_MIN_ROOTS or more of
+# them.  A fork, its join and the copy-on-write faults that follow cost
+# about 3.5 ms in a 15 MB process (2-vCPU host, CPython 3.11), and 256 nodes
+# take about 3.3 ms.  A gate of 4 roots forks for g(6,2), whose helper's
+# canonical-prefix tests are then lost to this process: repeated calls took
+# about 47-55 ms against 22-24 ms (medians of 15 per process), though the
+# first, cold call was faster.
 SPLIT_DEPTH = 2
 SPLIT_MIN_NODES = 256
 SPLIT_MIN_ROOTS = 8
@@ -270,7 +292,7 @@ class _DFS:
     __slots__ = (
         "pairs", "holders", "kills", "pair_bytes", "holder_bytes", "m", "k", "owned",
         "group", "min_left", "stop", "budget", "best", "best_members", "nodes", "split",
-        "roots",
+        "roots", "half", "cap",
     )
 
     def __init__(self, m, k, owned, group, best, stop, budget, split=False):
@@ -295,6 +317,15 @@ class _DFS:
         # the sizes of the nodes whose children may be queued as roots
         self.split = (SPLIT_DEPTH - 1, SPLIT_DEPTH) if split else ()
         self.roots = []  # queued roots: (``run`` arguments, nodes before)
+        # the words from ``half`` on hold the top element; ``cap`` is g(m - 1,
+        # k) of this search's model and group, read at SPLIT_MIN_NODES nodes
+        self.half = (1 << m) >> 1
+        self.cap = None
+
+    def search(self):
+        """Visit the empty family, whose candidates are every word of the
+        ground and whose reach is every pair."""
+        self.run([], (1 << (1 << self.m)) - 1, 0, 0, (1 << len(self.holders)) - 1)
 
     def run(self, members, cands, used, twice, reach):
         """Visit the family ``members``.  ``used`` is the OR of ``pairs``
@@ -308,6 +339,8 @@ class _DFS:
         loop, so every visited node can beat the best by its own size and
         candidates."""
         self.nodes += 1
+        if self.nodes == SPLIT_MIN_NODES and self.cap is None:
+            self.cap = _half_cap(self.m - 1, self.k, self.owned, self.group, self.budget)
         # the budget is checked on the first node, then on every 1024th
         if self.budget.expired or (self.nodes & 1023 == 1 and self.budget.check()):
             return
@@ -327,12 +360,22 @@ class _DFS:
         queue = s in self.split
         later = cands
         left = cands.bit_count()
+        # Each side of the top element holds at most cap words of a family
+        # below a child (see the module docstring).  The children from half
+        # on hold it, and once the members below half and cap words above it
+        # cannot beat the best, none of them can.  Best and cap change only
+        # in a visited child, so ``cut`` is renewed after each.
+        cap = self.cap
+        below = 0 if cap is None else bisect_left(members, self.half)
+        cut = cap is not None and below + cap <= self.best
         # the children in increasing word order: the lowest bit of later
         while later:
             low = later & -later
             later ^= low
             left -= 1
             w = low.bit_length() - 1
+            if cut and w >= self.half:
+                return
             # The child holds at most the ``left`` later words and needs
             # ``need`` of them to beat the best.  ``slack`` is how many it
             # may still lose; best only grows and later children have fewer
@@ -420,6 +463,15 @@ class _DFS:
             # other of its words holds.
             if slack == 0 and not self.completes(w, members, child_twice | child_reach):
                 continue
+            # Below half the members lie below it too, so the child's words
+            # there are the members, w and ``under - s - 1`` of child, and
+            # ``above`` above it.  From half on ``cut`` decides, as a child
+            # that passed the tests above beats the best by its own words.
+            if cap is not None and w < self.half:
+                above = (child >> self.half).bit_count()
+                under = s + 1 + child.bit_count() - above
+                if (under if under < cap else cap) + (above if above < cap else cap) <= self.best:
+                    continue
             members.append(w)
             # a root is queued once a family of its size has been reached
             if queue and self.nodes >= SPLIT_MIN_NODES and self.best > s:
@@ -430,6 +482,11 @@ class _DFS:
             members.pop()
             if self.budget.expired or self.best >= self.stop:
                 return
+            if not cut and self.cap is not None:
+                if cap is None:
+                    cap = self.cap
+                    below = bisect_left(members, self.half)
+                cut = below + cap <= self.best
 
     def completes(self, w, members, held):
         """Whether the new word w and every member keep a pair outside
@@ -471,10 +528,29 @@ def _search(m, k, group, best, stop, budget, owned=False):
     first family in DFS order that beats ``best`` with the most members up
     to ``stop``, the best so far on expiry, and () if none beats it."""
     dfs = _DFS(m, k, owned, group, best, stop, budget, split=True)
-    dfs.run([], (1 << (1 << m)) - 1, 0, 0, (1 << len(dfs.holders)) - 1)
+    dfs.search()
     if dfs.roots and not budget.expired:
         _run_roots(dfs)
     return dfs.best_members, not budget.expired, dfs.nodes
+
+
+# g(m, k) per (m, k, owned, group), each proved by a DFS of its own
+_half_caps = {}
+
+
+def _half_cap(m, k, owned, group, budget):
+    """The most members of a family on the m-ground in the witness model
+    ``owned``, proved by an unsplit DFS under ``group`` and ``budget`` and
+    cached; None, and nothing cached, if the budget expires.  Its nodes are
+    not counted by the search that asks."""
+    key = (m, k, owned, group)
+    if key not in _half_caps:
+        dfs = _DFS(m, k, owned, group, 0, (1 << m) + 1, budget)
+        dfs.search()
+        if budget.expired:
+            return None
+        _half_caps[key] = dfs.best
+    return _half_caps[key]
 
 
 def _run_roots(dfs):
@@ -490,6 +566,7 @@ def _run_roots(dfs):
 
     def run(i):
         job = _DFS(dfs.m, dfs.k, dfs.owned, dfs.group, start, stop, budget)
+        job.cap = dfs.cap
         job.run(*roots[i][0])
         return job.nodes, job.best_members, budget.expired
 

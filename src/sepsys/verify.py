@@ -292,14 +292,20 @@ def is_nice(d: Family, k: int) -> Certificate:
     members hold, and member i's separators are the pairs of ``ws[i]``
     outside it; elsewhere up to SEPARATOR_TABLE_MAX_GROUND, the AND of
     ``meet[ws[i] ^ w]`` over the other members.  Above it each member is
-    scanned with find_separator.  Bits outside the ground raise ValueError."""
+    scanned with find_separator, but one with a duplicate fails unscanned.
+    Bits outside the ground raise ValueError."""
     _require_k(k)
     ws, m = d.members, d.ground_size
     _check_words(m, ws)
     firsts = []
     if m > SEPARATOR_TABLE_MAX_GROUND:
-        for i in range(len(ws)):
-            if (wit := find_separator(d, i, k)) is None:
+        # a member with a duplicate has no separator, and its scan would
+        # walk every set of at most k elements to find none
+        seen, repeated = set(), set()
+        for w in ws:
+            (repeated if w in seen else seen).add(w)
+        for i, wi in enumerate(ws):
+            if wi in repeated or (wit := find_separator(d, i, k)) is None:
                 return Certificate(NICE, False, k=k, failure=i)
             firsts.append(wit.separator)
     elif (table := _pair_table(m, min(k, m))) is None:

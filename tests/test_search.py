@@ -391,15 +391,20 @@ PINNED_NODES = {
     "pair-family(6,2)": (lambda: max_pair_family(6, 2), 0),
     "pair-family(4,2)": (lambda: max_pair_family(4, 2), 0),
     "g(6,1)": (lambda: max_nice_size(6, 1), 8),
-    "g(5,3)": (lambda: max_nice_size(5, 3), 692),
-    # 2595 unsplit: later roots start from the best reached before the queue
-    "g(6,2)": (lambda: max_nice_size(6, 2), 2597),
-    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 1245),
+    # these five visit SPLIT_MIN_NODES nodes, and then read g(m - 1, k) to
+    # cap each side of the top element; without the cap they visited 692,
+    # 2597, 1245, 21794 and 21780 nodes
+    "g(5,3)": (lambda: max_nice_size(5, 3), 623),
+    # G62_UNSPLIT unsplit: later roots start from the best reached before
+    # the queue
+    "g(6,2)": (lambda: max_nice_size(6, 2), 2285),
+    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), 745),
     "exists(6,2,12)": (lambda: exists_nice_of_size(6, 2, 12), 20),
     # most of the work of these two lies in queued roots
-    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), 21794),
-    "exists(5,2,11)-nosym": (lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), 21780),
+    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), 17550),
+    "exists(5,2,11)-nosym": (lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), 17536),
 }
+G62_UNSPLIT = 2281
 
 
 @pytest.mark.parametrize("name", PINNED_NODES)
@@ -533,10 +538,10 @@ def test_free_pair_count_on_the_optimum():
 UNBOUNDED_NODES = {
     "g(5,2)": 91,
     "exists(5,2,11)": 77,
-    "g(5,3)": 720,
+    "g(5,3)": 651,
     "g(6,1)": 14,
-    "g(6,2)": 3329,
-    "exists(6,2,16)": 2024,
+    "g(6,2)": 2606,
+    "exists(6,2,16)": 1014,
     "unique(5,2)": 39,
     "pair-family(6,2)": 0,
 }
@@ -582,12 +587,12 @@ PREFIX_RULE_NODES = {
     "pair-family(6,2)": (0, 0),
     "pair-family(4,2)": (0, 0),
     "g(6,1)": (8, 8),
-    "g(5,3)": (688, 2243),
-    "g(6,2)": (858, 2786),
-    "exists(6,2,16)": (482, 1361),
+    "g(5,3)": (619, 2031),
+    "g(6,2)": (763, 2474),
+    "exists(6,2,16)": (370, 854),
     "exists(6,2,12)": (18, 20),
-    "g(5,2)-nosym": (21794, 21794),
-    "exists(5,2,11)-nosym": (21780, 21780),
+    "g(5,2)-nosym": (17550, 17550),
+    "exists(5,2,11)-nosym": (17536, 17536),
 }
 
 
@@ -635,15 +640,17 @@ def test_child_filter_keeps_exactly_the_words_that_can_join(monkeypatch):
     # last member that can join the family, ``reach`` the OR of their pairs,
     # ``used`` the OR of the members' pairs and ``twice`` the pairs that two
     # or more members hold.  A search's words are the root's candidates.
+    # With no g(m - 1, k) cached, the searches that prove it are checked
+    # too; their nodes are counted under their own ground.
     dfs_run = search._DFS.run
-    nodes = [0]
-    words = []
+    nodes = {}
+    words = {}
 
     def checked_run(self, members, cands, used, twice, reach):
         if not members:
-            words[:] = [w for w in range(1 << self.m) if cands >> w & 1]
+            words[self.m] = [w for w in range(1 << self.m) if cands >> w & 1]
         pairs = self.pairs
-        above = [w for w in words if not members or w > members[-1]]
+        above = [w for w in words[self.m] if not members or w > members[-1]]
         want = [w for w in above if _holds(self.m, self.k, self.owned, members + [w])]
         assert cands == sum(1 << w for w in want), (members, bin(cands))
         want_reach = want_used = want_twice = 0
@@ -653,30 +660,37 @@ def test_child_filter_keeps_exactly_the_words_that_can_join(monkeypatch):
             want_twice |= want_used & pairs[x]
             want_used |= pairs[x]
         assert (reach, used, twice) == (want_reach, want_used, want_twice), members
-        nodes[0] += 1
+        nodes[self.m] = nodes.get(self.m, 0) + 1
         return dfs_run(self, members, cands, used, twice, reach)
 
     monkeypatch.setattr(search._DFS, "run", checked_run)
     # every node is checked and counted in this process
     monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
     for name in CHILD_FILTER_CASES:
-        nodes[0] = 0
-        assert PINNED_NODES[name][0]().nodes_visited == nodes[0], name
+        nodes.clear()
+        search._half_caps.clear()
+        rep = PINNED_NODES[name][0]()
+        m = max(nodes)
+        assert rep.nodes_visited == nodes[m], name
+        assert (m - 1 in nodes) == (rep.nodes_visited >= search.SPLIT_MIN_NODES), name
 
 
 # --- the forced-completion look-ahead ---------------------------------------
 
 
-# name: (search, children the look-ahead drops).  The owned searches up to
-# m = 6 drop only one child, in unique(6,3): a member's owned subsets are
-# rarely all inside the candidates left to it.
+# name: (search, children the look-ahead drops, whether each side of the top
+# element is capped at g(m - 1, k)).  The owned searches up to m = 6 drop
+# only one child, in unique(6,3) without the cap, which cuts that child
+# first: a member's owned subsets are rarely all inside the candidates left
+# to it.
 LOOK_AHEAD_CASES = {
-    "g(5,2)": (PINNED_NODES["g(5,2)"][0], 13),
-    "g(5,3)": (PINNED_NODES["g(5,3)"][0], 125),
-    "g(5,2)-nosym": (PINNED_NODES["g(5,2)-nosym"][0], 7063),
-    "exists(6,2,16)": (PINNED_NODES["exists(6,2,16)"][0], 264),
-    "unique(5,2)": (PINNED_NODES["unique(5,2)"][0], 0),
-    "unique(6,3)": (lambda: max_unique_subset_family(6, 3), 1),
+    "g(5,2)": (PINNED_NODES["g(5,2)"][0], 13, True),
+    "g(5,3)": (PINNED_NODES["g(5,3)"][0], 98, True),
+    "g(5,2)-nosym": (PINNED_NODES["g(5,2)-nosym"][0], 6058, True),
+    "exists(6,2,16)": (PINNED_NODES["exists(6,2,16)"][0], 178, True),
+    "unique(5,2)": (PINNED_NODES["unique(5,2)"][0], 0, True),
+    "unique(6,3)": (lambda: max_unique_subset_family(6, 3), 0, True),
+    "unique(6,3)-uncapped": (lambda: max_unique_subset_family(6, 3), 1, False),
 }
 
 
@@ -687,7 +701,10 @@ def test_look_ahead_drops_only_children_whose_forced_completion_fails(name, monk
     # that keeps the family nice, or its subsets owned) to beat the best.
     # That forced completion must fail, so no family that beats the best
     # is lost.
-    run, drops = LOOK_AHEAD_CASES[name]
+    run, drops, capped = LOOK_AHEAD_CASES[name]
+    run()  # the drops are counted with g(m - 1, k) cached
+    if not capped:
+        monkeypatch.setattr(search, "_half_cap", lambda *args: None)
     completes = search._DFS.completes
     dropped = []
 
@@ -709,20 +726,164 @@ def test_look_ahead_drops_only_children_whose_forced_completion_fails(name, monk
         assert not _holds(m, k, owned, child + later), (child, later)
 
 
+# --- the cap on each side of the top element --------------------------------
+
+
+def _sides(members, v):
+    """The members without element v and those with it, each with v
+    deleted: two families on the other elements."""
+    below = (1 << v) - 1
+    sides = ([], [])
+    for w in members:
+        sides[w >> v & 1].append(w & below | w >> v + 1 << v)
+    return sides
+
+
+@settings(max_examples=400, deadline=None)
+@given(nice_families())
+def test_each_side_of_an_element_keeps_the_property(case):
+    # The restriction lemma behind the cap: both sides of a nice family at
+    # any element are nice on the other m - 1 elements, and both sides of a
+    # unique-subset family own unique subsets there.
+    m, k, owned, members = case
+    for v in range(m):
+        for side in _sides(members, v):
+            assert _holds(m - 1, k, owned, side), (m, k, owned, members, v)
+
+
+def _beaten(m, k, owned, family, words, best):
+    """Whether a family of best + 1 members holds ``family`` and lies within
+    it and ``words``: a DFS over the words that keeps the property, which
+    every subfamily keeps too."""
+    if len(family) > best:
+        return True
+    for i, y in enumerate(words):
+        if len(family) + len(words) - i <= best:
+            break
+        if _holds(m, k, owned, family + (y,)) and _beaten(m, k, owned, family + (y,),
+                                                        words[i + 1:], best):
+            return True
+    return False
+
+
+def _visits(run, monkeypatch):
+    """Each node a search visits, as its members, with its candidates and
+    the best on entry."""
+    dfs_run = search._DFS.run
+    visits = {}
+
+    def recorded(self, members, cands, used, twice, reach):
+        visits[tuple(members)] = (cands, self.best)
+        return dfs_run(self, members, cands, used, twice, reach)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search._DFS, "run", recorded)
+        return run(), visits
+
+
+# name: (search, its ground, k and witness model, SPLIT_MIN_NODES, children
+# the cap drops).  The short unreduced searches read the cap from 64 nodes.
+HALF_CAP_CASES = {
+    "g(5,3)": (PINNED_NODES["g(5,3)"][0], 5, 3, False, 256, 33),
+    "exists(6,2,16)": (PINNED_NODES["exists(6,2,16)"][0], 6, 2, False, 256, 297),
+    "g(4,2)-nosym": (lambda: max_nice_size(4, 2, use_symmetry=False), 4, 2, False, 64, 32),
+    "unique(5,3)-nosym": (
+        lambda: max_unique_subset_family(5, 3, use_symmetry=False), 5, 3, True, 64, 47,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HALF_CAP_CASES)
+def test_half_cap_drops_only_children_that_cannot_beat_the_best(name, monkeypatch):
+    # The children the cap drops are the nodes visited without it, not with
+    # it, whose parent is visited with it.  With g(m - 1, k) cached, every
+    # node visited is the search's own.  No family of best + 1 members may
+    # hold one and lie within its candidates.
+    run, m, k, owned, split_min_nodes, drops = HALF_CAP_CASES[name]
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(search, "SPLIT_MIN_NODES", split_min_nodes)
+    run()
+    capped, on = _visits(run, monkeypatch)
+    monkeypatch.setattr(search, "_half_cap", lambda *args: None)
+    uncapped, off = _visits(run, monkeypatch)
+    assert len(on) == capped.nodes_visited and len(off) == uncapped.nodes_visited
+    assert on.keys() <= off.keys()
+    fields = [f for f in type(capped).__slots__ if f != "nodes_visited"]
+    assert [getattr(capped, f) for f in fields] == [getattr(uncapped, f) for f in fields]
+    dropped = [child for child in off if child not in on and child[:-1] in on]
+    assert len(dropped) == drops
+    for child in dropped:
+        cands, best = off[child]
+        words = tuple(y for y in range(1 << m) if cands >> y & 1)
+        assert not _beaten(m, k, owned, child, words, best), child
+
+
+def test_half_cap_cold_and_warm_give_the_same_reports():
+    proved = {}
+    for name, (run, _) in PINNED_NODES.items():
+        search._half_caps.clear()
+        cold = _fields(run())
+        proved.update(search._half_caps)
+        assert _fields(run()) == cold, name
+    # the searches past SPLIT_MIN_NODES nodes proved these, each in its own
+    # model and group
+    assert proved == {
+        (4, 3, False, PERMUTATIONS_AND_SWITCHING): 12,
+        (5, 2, False, PERMUTATIONS_AND_SWITCHING): 10,
+        (4, 2, False, None): 8,
+    }
+
+
+def test_unreduced_search_reads_an_unreduced_cap(monkeypatch):
+    # the symmetry cross-check stays free of symmetry pruning, also in the
+    # search that proves g(4,2)
+    def refuse(*args):
+        raise AssertionError("canonical-prefix test in an unreduced search")
+
+    search._half_caps.clear()
+    monkeypatch.setattr(search, "is_canonical", refuse)
+    rep = max_nice_size(5, 2, use_symmetry=False)
+    assert (rep.best, rep.exhausted, rep.nodes_visited) == (10, True, 17550)
+    assert search._half_caps == {(4, 2, False, None): 8}
+
+
+@pytest.mark.parametrize("name, m", [("g(5,3)", 5), ("exists(6,2,16)", 6)])
+def test_budget_expiring_in_the_half_cap_search_caches_nothing(name, m, monkeypatch):
+    # the budget expires on the first node of the search for g(m - 1, k)
+    run = PINNED_NODES[name][0]
+    want = run()
+    dfs_run = search._DFS.run
+
+    def run_to_expiry(self, *args):
+        if self.m < m:
+            self.budget.expired = True
+        return dfs_run(self, *args)
+
+    search._half_caps.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(search._DFS, "run", run_to_expiry)
+        rep = run()
+    assert rep.exhausted is False and rep.nodes_visited == search.SPLIT_MIN_NODES
+    if isinstance(rep, ExistenceResult):
+        assert rep.status == "budget-exhausted"
+    assert search._half_caps == {}
+    assert _fields(run()) == _fields(want)
+
+
 # --- the root split ----------------------------------------------------------
 
 
 SPLIT_CASES = {
     # name: (search, queued roots of 2 and of 3 members, whether a helper is
     # forked)
-    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), (245, 16), True),
+    "g(5,2)-nosym": (lambda: max_nice_size(5, 2, use_symmetry=False), (104, 8), True),
     "exists(5,2,11)-nosym": (
-        lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), (245, 16), True,
+        lambda: exists_nice_of_size(5, 2, 11, use_symmetry=False), (104, 8), True,
     ),
     "g(5,3)": (lambda: max_nice_size(5, 3), (2, 1), False),
-    "g(6,2)": (lambda: max_nice_size(6, 2), (4, 3), False),
-    "exists(6,2,13)": (lambda: exists_nice_of_size(6, 2, 13), (4, 3), False),
-    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), (4, 2), False),
+    "g(6,2)": (lambda: max_nice_size(6, 2), (3, 3), False),
+    "exists(6,2,13)": (lambda: exists_nice_of_size(6, 2, 13), (3, 3), False),
+    "exists(6,2,16)": (lambda: exists_nice_of_size(6, 2, 16), (3, 1), False),
 }
 
 
@@ -795,12 +956,14 @@ def test_split_moves_only_the_g62_count(name, monkeypatch):
     # Roots queued once SPLIT_MIN_NODES nodes are visited start from the
     # best reached before them, not from the running best.  Only g(6,2)
     # improves on that best in a queued root, so only its count moves;
-    # searches that queue nothing cannot move at all.
+    # searches that queue nothing cannot move at all.  No family size is a
+    # root size here, so nothing is queued, while g(m - 1, k) is still read
+    # at SPLIT_MIN_NODES nodes.
     run = PINNED_NODES[name][0]
     split = run()
-    monkeypatch.setattr(search, "SPLIT_MIN_NODES", float("inf"))
+    monkeypatch.setattr(search, "SPLIT_DEPTH", -1)
     whole = run()
-    assert whole.nodes_visited == (2595 if name == "g(6,2)" else split.nodes_visited)
+    assert whole.nodes_visited == (G62_UNSPLIT if name == "g(6,2)" else split.nodes_visited)
     fields = [f for f in type(split).__slots__ if f != "nodes_visited"]
     assert [getattr(whole, f) for f in fields] == [getattr(split, f) for f in fields]
 

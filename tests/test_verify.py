@@ -367,17 +367,14 @@ def test_pair_table_range_and_size_cap():
     assert verify.pair_table(4, 9) is verify.pair_table(4, 4)
 
 
-def _certificates(families, unscanned=()):
+def _certificates(families):
     """is_nice, every find_separator and is_k_hyperseparating of each
-    (family, k) pair, for comparing the table path with the scan.  The
-    families in ``unscanned`` are not tried as primals (None in their
-    place): their dual has duplicate members on 64 elements, and its scan
-    walks every set of at most k of them."""
+    (family, k) pair, for comparing the table path with the scan."""
     out = []
     for d, k in families:
         nice = is_nice(d, k)
         seps = [find_separator(d, i, k) for i in range(len(d.members))]
-        out.append((nice, seps, None if d in unscanned else is_k_hyperseparating(d, k)))
+        out.append((nice, seps, is_k_hyperseparating(d, k)))
     return out
 
 
@@ -408,8 +405,7 @@ def test_separator_table_path_equals_scan(monkeypatch):
                 cases += [(Family(m, tuple(ws)), k), (Family(m, tuple(ws + ws[:1])), k)]
     wide = Family(cap, tuple(range(64)))
     cases += [(wide, 3), (wide, cap)]
-    table = _certificates(cases, unscanned=(wide,))
-    assert all(hs is not None for (d, _), (_, _, hs) in zip(cases, table) if d != wide)
+    table = _certificates(cases)
     assert sum(bool(nice) for nice, _, _ in table) > 300
     assert sum(not nice and nice.failure > 0 for nice, _, _ in table) > 300
     assert not table[-2][0] and table[-1][0]  # 64 words on 6 coordinates need |S| = 6
@@ -418,9 +414,9 @@ def test_separator_table_path_equals_scan(monkeypatch):
     assert paths == {False, True}  # both the pair table and the meet table decide some
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_pair_table", lambda m, k: None)  # meet path up to the cap
-        assert _certificates(cases, unscanned=(wide,)) == table
+        assert _certificates(cases) == table
     monkeypatch.setattr(verify, "SEPARATOR_TABLE_MAX_GROUND", -1)  # every ground scans
-    assert _certificates(cases, unscanned=(wide,)) == table
+    assert _certificates(cases) == table
 
 
 def test_separator_table_not_built_above_cap(monkeypatch):
@@ -529,6 +525,35 @@ def test_hyperseparating_fails_on_equal_signatures():
 def test_hyperseparating_pigeonhole():
     f = new_family(5, [[0, 1], [2, 3]])
     assert not is_k_hyperseparating(f, 2)
+
+
+def test_hyperseparating_fails_a_repeated_dual_member_unscanned(monkeypatch):
+    # Elements 6-11 lie in no member, so the dual on 64 elements repeats the
+    # empty word from member 6 on.  A scan of a repeated member finds no
+    # separator only after every set of at most 12 of the 64 elements.
+    scan = verify.find_separator
+
+    def unrepeated(d, i, k):
+        assert d.members.count(d.members[i]) == 1, f"member {i} is repeated"
+        return scan(d, i, k)
+
+    def hang(signum, frame):
+        raise TimeoutError("is_k_hyperseparating took over 8 s")
+
+    monkeypatch.setattr(verify, "find_separator", unrepeated)
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(8)
+    try:
+        cert = is_k_hyperseparating(Family(12, tuple(range(64))), 12)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert not cert and cert.failure == 6
+    # the failure stays the scan's: member 0, the empty word, is not
+    # repeated and has no separator of one element, before the repeated 2
+    d = Family(13, (0, 1, 2, 2))
+    assert [scan(d, i, 1) is None for i in range(4)] == [True, False, True, True]
+    assert is_nice(d, 1).failure == 0
 
 
 def test_hyperseparating_capacity_error_via_dual():
